@@ -43,7 +43,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import means
-from .certify import NotPositiveError, estimate_modulus
+from .certify import NotPositiveError
 from .expr import Expression
 from .quadrature import IntegrandError, integrate
 
@@ -402,23 +402,23 @@ def theorem2_bound(
     )
 
 
-def max_feasible_c(
-    f: Expression,
-    a: float,
-    b: float,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Largest c for which the strengthened chain still holds, within 1e-9.
+def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
+    """Largest c for which the strengthened chain still holds, in closed form.
 
-    Bisection over c; the chain's minimum margin is nonincreasing in c, so
-    the feasible set is an interval [0, c_max].  Raises NotLogConvexError
-    when the chain fails already at c = 0.
-
-    The feasibility predicate judges margins at the integral-accuracy
-    tolerance ``tol`` (not the looser chain-verdict default): the slack a
-    verdict tolerance adds converts into ~6*slack/(b-a)^2 of spurious
-    feasible c, which would push the constant-function answer past the
-    promised 1e-9 of zero.
+    Each term is affine in c (the midpoint term gains c w^2/12, the two
+    right-hand terms lose c w^2/6, w = b - a) and the verdict tolerance
+    tol*max(1, |term_k|) is the largest of the pieces tol, +-tol*term_k, so a
+    margin holds at c iff some line margin + piece is >= 0.  A margin holds on
+    [0, end], end the largest root of its falling lines, unless a line that
+    does not fall holds at end; c_max is the smallest end.  For tol < 1 it is
+    finite: L - M - c w^2/6 falls faster than tol*|term| can rise (tol w^2/6),
+    and where it holds the largest piece rises at most tol w^2/12, slower than
+    G - f_m - c w^2/12 falls, so the feasible set is [0, c_max] unless M - G
+    or A - L lies below -tol.  The root is checked with the chain's verdict
+    and walked down by ulps of the binding margin if rounding put it past.
+    Raises NotLogConvexError when the chain fails at c = 0, ValueError when
+    no margin bounds c.  Margins are judged at the integral-accuracy ``tol``:
+    a verdict slack would add ~6*slack/w^2 of spurious c to a constant's 0.
     """
     a, b = _validate_interval(a, b)
     base = _theorem1_base(f, a, b, tol)
@@ -434,23 +434,22 @@ def max_feasible_c(
             report=report,
         )
 
-    certificate = estimate_modulus(f, a, b)
-    hi = max(certificate.c_star, 0.0) + 1.0
-    lo = 0.0
-    # The bracket [c_star, c_star + 1] can still hold at the top: the chain's
-    # feasible c exceeds the pointwise modulus whenever the inequalities have
-    # slack.  Margins decrease linearly in c, so doubling must terminate.
-    for _ in range(200):
-        if not holds(hi):
-            break
-        lo = hi
-        hi *= 2.0
-    else:  # pragma: no cover - margins decrease linearly in c
-        raise RuntimeError("could not bracket the feasibility boundary")
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    w2 = (b - a) ** 2
+    terms = tuple(zip(base, (w2 / 12.0, 0.0, 0.0, -w2 / 6.0, -w2 / 6.0)))  # p + q c
+    pieces = [(tol, 0.0)]
+    pieces += [(s * tol * p, s * tol * q) for p, q in terms for s in (1.0, -1.0)]
+    ends = []  # (end of the margin's stretch, one ulp of the margin in units of c)
+    for (p0, q0), (p1, q1) in zip(terms, terms[1:]):
+        lines = [(p1 - p0 + p, q1 - q0 + q) for p, q in pieces]
+        falling = [(p / -q, q) for p, q in lines if q < 0.0 <= p]
+        end, slope = max(falling, default=(0.0, -math.inf))
+        if not any(q >= 0.0 and p + q * end >= 0.0 for p, q in lines):
+            scale = max(1.0, abs(p0 + q0 * end), abs(p1 + q1 * end))
+            ends.append((end, math.ulp(scale) / -slope))
+    if not ends:
+        raise ValueError(f"tol={tol!r} lets the chain hold for every c; need tol < 1")
+    c_max, ulp = min(ends)
+    for c in (max(0.0, c_max - ulps * ulp) for ulps in (0, 1, 2, 4, 8, 16)):
+        if holds(c):
+            return float(c)
+    raise ArithmeticError(f"solved modulus {c_max!r} fails the chain beyond rounding")

@@ -72,9 +72,10 @@ NOT_APPLICABLE = "not_applicable"
 _CASE_ERRORS = (NotPositiveError, DomainError, EvaluationError, IntegrandError, ValueError)
 
 # Certifier resolution used inside sweeps; coarser than the certify-module
-# defaults so 500-case sweeps stay inside the desk-scale budget.  A coarser
-# grid only raises the sampled minimum toward the true infimum less far,
-# never past it, so drawn moduli stay conservative.
+# defaults so 500-case sweeps stay inside the desk-scale budget.  The grid
+# minimum is evidence, not a bound: it can land above the true modulus
+# (1188 such overshoots in the benchmark's 48-seed sweep cycle), so a drawn
+# modulus c = c_star * u is not guaranteed conservative.
 SWEEP_GRID_N = 16
 SWEEP_REFINE_ROUNDS = 3
 
@@ -357,15 +358,3 @@ def sweep(
     )
     return aggregate_results(results, tuple(families), seed)
 
-
-def _self_check() -> None:  # pragma: no cover - debugging helper
-    report = sweep(10, ("exp_quadratic",), seed=1)
-    assert report.cases_run == 10
-    for kind in CHAIN_KINDS:
-        total = report.holds[kind] + report.violated[kind] + report.not_applicable[kind]
-        assert total == report.cases_run, kind
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _self_check()
-    print("harness self-check passed")

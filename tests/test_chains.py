@@ -7,6 +7,7 @@ import pytest
 
 from hhcert.certify import NotPositiveError, estimate_modulus
 from hhcert.chains import (
+    DEFAULT_TOL,
     NotLogConvexError,
     classical_hh_terms,
     closed_form_J,
@@ -293,13 +294,57 @@ def test_maxc_log_affine_nonnegative():
     assert max_feasible_c(EXP_X, 0.0, 1.0) >= 0.0
 
 
-def test_maxc_dominates_certificate():
-    cert = estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=32, refine_rounds=2)
-    value = max_feasible_c(EXP_X2, 0.0, 1.0)
+def _maxc_corpus():
+    # seeded log-convex functions of every shape the closed form meets:
+    # strictly log-convex, power-law, log-affine (margin G - f_m is 0) and
+    # constant (every margin is 0)
+    rng = np.random.default_rng(2012)
+    cases = [pytest.param("exp(x^2)", 0.0, 1.0, id="exp_x2")]
+    for family in ("exp_quadratic", "power", "log_affine", "constant"):
+        for i in range(4):
+            a, b = sorted(float(x) for x in rng.uniform(-2.0, 2.0, size=2))
+            b = max(b, a + 0.1)
+            alpha = float(rng.uniform(0.05, 3.0))
+            beta, gamma = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-1.0, 1.0))
+            text = {
+                "exp_quadratic": f"exp({alpha!r}*x^2 + {beta!r}*x + {gamma!r})",
+                "power": f"(x + {0.1 - a + alpha!r})^{-alpha!r}",
+                "log_affine": f"exp({beta!r}*x + {gamma!r})",
+                "constant": repr(math.exp(3.0 * gamma)),
+            }[family]
+            cases.append(pytest.param(text, a, b, id=f"{family}-{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("text,a,b", _maxc_corpus())
+def test_maxc_dominates_certificate(text, a, b):
+    f = parse(text)
+    cert = estimate_modulus(f, a, b, grid_n=32, refine_rounds=2)
+    value = max_feasible_c(f, a, b)
+    assert isinstance(value, float)
     assert value >= cert.c_star
-    # the boundary is where the chain stops holding
-    assert theorem1_chain(EXP_X2, 0.0, 1.0, value).holds
-    assert not theorem1_chain(EXP_X2, 0.0, 1.0, value + 1e-6).holds
+    # the boundary is where the chain, judged as maxc judges it, stops holding
+    tol = DEFAULT_TOL
+    above = value + 1e-9 * max(1.0, value)
+    assert theorem1_chain(f, a, b, value, tol, margin_tol=tol).holds
+    assert not theorem1_chain(f, a, b, above, tol, margin_tol=tol).holds
+
+
+def test_maxc_does_not_run_the_certifier(monkeypatch):
+    expected = max_feasible_c(EXP_X2, 0.0, 1.0)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("max_feasible_c ran the grid certifier")
+
+    monkeypatch.setattr("hhcert.certify._min_over_grid", no_grid)
+    assert max_feasible_c(EXP_X2, 0.0, 1.0) == expected
+
+
+def test_maxc_rejects_a_tolerance_that_bounds_nothing():
+    # at tol >= 1 the verdict tolerance can grow as fast as the margins fall
+    with pytest.raises(ValueError, match="tol"):
+        max_feasible_c(EXP_X2, 0.0, 1.0, tol=1.5)
+    assert theorem1_chain(EXP_X2, 0.0, 1.0, 377.0, 1.5, margin_tol=1.5).holds
 
 
 def test_maxc_raises_for_non_log_convex():
