@@ -21,6 +21,14 @@ which keeps the cancellation structural: for constant f the grouped log
 differences are exactly zero, so the sampled defect is exactly 0.0 rather
 than rounding noise amplified by 1/(lam*(1-lam)*(x-y)^2).
 
+The grid is walked in tiles of 65,536 triples, so each float64 buffer of
+the ratio kernel is 0.5 MB and the working set stays in a per-core L2
+cache; tiles split the y grid once one x-row outgrows a tile, so memory is
+flat at any grid size.  Time still grows as N^3 in the grid size N: no
+triple budget caps it yet.  An interval so narrow (or wide) that
+lam*(1-lam)*(x-y)^2 leaves (0, inf) at some admissible triple raises a
+ValueError naming the grid instead of returning a nan or infinite ratio.
+
 A grid infimum is evidence, not proof: the certificate carries grid_size
 and refinement_rounds so callers can judge how hard the box was searched.
 """
@@ -53,9 +61,7 @@ ZERO_TOLERANCE = 1e-12
 
 
 class ConvexityKind(enum.Enum):
-    CONVEX = "convex"
     LOG_CONVEX = "log_convex"
-    STRONGLY_CONVEX = "strongly_convex"
     STRONGLY_LOG_CONVEX = "strongly_log_convex"
 
 
@@ -148,14 +154,23 @@ def log_defect(f: Expression, x: float, y: float, lam: float) -> float:
     return ft * math.expm1(delta) / (lam * mu * (x - y) ** 2)
 
 
-def _defect_grid(
+def _spacing(grid: np.ndarray) -> float:
+    return float(grid[1] - grid[0]) if grid.size > 1 else 0.0
+
+
+def _defect_tile(
     f: Expression,
     xs: np.ndarray,
     ys: np.ndarray,
     lams: np.ndarray,
-    x_spacing: Optional[float] = None,
+    lfx: np.ndarray,
+    lfy: np.ndarray,
+    spacing: float,
+    rows: slice,
+    cols: slice,
+    bufs: np.ndarray,
 ) -> np.ndarray:
-    """Defect ratios over the grid xs x ys x lams; invalid triples are +inf.
+    """Defect ratios over the tile xs[rows] x ys[cols] x lams; invalid triples are +inf.
 
     Invalid means lam outside the open unit interval (clipped refinement
     boxes may touch 0 or 1) or |x - y| below half the coarser grid spacing.
@@ -164,33 +179,60 @@ def _defect_grid(
     sits below the grids' own resolution, where the ratio's numerator
     cancels to under one ulp of f and the sample carries no information.
 
-    ``x_spacing`` overrides the spacing inferred from ``xs`` when the caller
-    passes a slab of a larger uniform grid.
+    ``lfx`` and ``lfy`` are ln f over the whole of xs and ys, and ``spacing``
+    is the coarser spacing of the whole grids.  The ratios are computed in
+    the three rows of ``bufs``, each at least a tile long; the returned
+    array is a view into the last.  Each step is the same ufunc on the
+    same operands as the defect formula written out in full, so the bits
+    do not depend on the tiling.
     """
-    fx = _positive_values(f, xs)
-    fy = _positive_values(f, ys)
-    spacing = 0.0
-    if x_spacing is not None:
-        spacing = x_spacing
-    elif xs.size > 1:
-        spacing = max(spacing, float(xs[1] - xs[0]))
-    if ys.size > 1:
-        spacing = max(spacing, float(ys[1] - ys[0]))
-    X = xs[:, None, None]
-    Y = ys[None, :, None]
+    X = xs[rows, None, None]
+    Y = ys[None, cols, None]
     LAM = lams[None, None, :]
-    T = LAM * X + (1.0 - LAM) * Y
-    fT = _positive_values(f, T)
+    MU = 1.0 - LAM
+    shape = (X.shape[0], Y.shape[1], LAM.shape[2])
+    t, work, defect = bufs[:, : math.prod(shape)].reshape(3, *shape)
+    np.add(LAM * X, MU * Y, out=t)
+    fT = _positive_values(f, t)  # may be t itself (f = x), so t is not reused below
+    diff = X - Y
+    pair_ok = np.abs(diff) > 0.49 * spacing
+    lam_ok = (LAM > 0.0) & (LAM < 1.0)
+    sq = diff**2
+    lam_mu = LAM * MU
+    sq_ok, lam_mu_ok = sq[pair_ok], lam_mu[lam_ok]
+    if sq_ok.size and lam_mu_ok.size:
+        # fl(a*b) is monotone in each positive factor, so these bound every
+        # admissible denominator exactly
+        if not (sq_ok.min() * lam_mu_ok.min() > 0.0 and sq_ok.max() * lam_mu_ok.max() < np.inf):
+            raise ValueError(
+                "the defect ratio's denominator lam*(1-lam)*(x-y)^2 leaves (0, inf) on the "
+                f"{xs.size}x{ys.size}x{lams.size} grid over x in [{float(xs[0])!r}, "
+                f"{float(xs[-1])!r}], y in [{float(ys[0])!r}, {float(ys[-1])!r}]: the "
+                "interval is too narrow or too wide for this grid"
+            )
     with np.errstate(all="ignore"):
-        lfx = np.log(fx)[:, None, None]
-        lfy = np.log(fy)[None, :, None]
-        lfT = np.log(fT)
-        delta = LAM * (lfx - lfT) + (1.0 - LAM) * (lfy - lfT)
-        defect = fT * np.expm1(delta) / (LAM * (1.0 - LAM) * (X - Y) ** 2)
-    valid = np.broadcast_to(np.abs(X - Y) > 0.49 * spacing, defect.shape) & np.broadcast_to(
-        (LAM > 0.0) & (LAM < 1.0), defect.shape
-    )
-    return np.where(valid, defect, np.inf)
+        np.log(fT, out=work)
+        np.subtract(lfx[rows, None, None], work, out=defect)
+        defect *= LAM
+        np.subtract(lfy[None, cols, None], work, out=work)
+        work *= MU
+        defect += work
+        np.expm1(defect, out=defect)
+        defect *= fT
+        np.multiply(lam_mu, sq, out=work)
+        defect /= work
+    np.copyto(defect, np.inf, where=~pair_ok)
+    np.copyto(defect, np.inf, where=~lam_ok)
+    return defect
+
+
+def _defect_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Defect ratios over the whole grid xs x ys x lams as one tile."""
+    lfx = np.log(_positive_values(f, xs))
+    lfy = np.log(_positive_values(f, ys))
+    spacing = max(_spacing(xs), _spacing(ys))
+    bufs = np.empty((3, xs.size * ys.size * lams.size))
+    return _defect_tile(f, xs, ys, lams, lfx, lfy, spacing, slice(None), slice(None), bufs)
 
 
 def _grid_min(defects: np.ndarray, xs, ys, lams) -> tuple:
@@ -201,26 +243,39 @@ def _grid_min(defects: np.ndarray, xs, ys, lams) -> tuple:
     return float(defects[i, j, k]), (float(xs[i]), float(ys[j]), float(lams[k]))
 
 
-# Cap on the number of triples evaluated per block; large grids are walked
-# in x-slabs so memory stays flat (the spacing mask still sees the full
-# grids because the slabs share ys and lams and inherit xs's spacing).
-_BLOCK_TRIPLES = 2_000_000
+# Triples per tile of the grid walk.  At 65,536 triples each float64 tile
+# buffer is 0.5 MB, so the kernel's three buffers and the evaluator's
+# temporaries stay in a 2 MB per-core L2 cache, where one block of up to 2M
+# triples streamed 16 MB temporaries through memory.  A tile is a block of
+# whole x-rows or, once one x-row alone holds more than a tile (grids past
+# 256 points), a block of y-columns within one x-row, so memory stays flat
+# at any grid size.  Time still grows as N^3: no triple budget caps the grid.
+_TILE_TRIPLES = 65_536
 
 
 def _min_over_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> tuple:
-    rows = max(1, _BLOCK_TRIPLES // max(1, ys.size * lams.size))
-    if xs.size <= rows:
-        return _grid_min(_defect_grid(f, xs, ys, lams), xs, ys, lams)
-    x_spacing = float(xs[1] - xs[0])
-    best = np.inf
-    witness = None
-    for start in range(0, xs.size, rows):
-        block = xs[start : start + rows]
-        defects = _defect_grid(f, block, ys, lams, x_spacing=x_spacing)
-        value, candidate = _grid_min(defects, block, ys, lams)
-        # strict < keeps the earliest block on ties: lexicographic-first
-        if value < best:
-            best, witness = value, candidate
+    """Smallest defect ratio over xs x ys x lams and the (x, y, lam) attaining it.
+
+    f is evaluated once on xs and ys (once in total when ys is xs) and once
+    per tile on the interior points.  Tiles are visited in (x, y) order and
+    the strict < keeps the earliest tile on ties, so the result is bitwise
+    the one full-grid ``_grid_min`` would report.
+    """
+    lfx = np.log(_positive_values(f, xs))
+    lfy = lfx if ys is xs else np.log(_positive_values(f, ys))
+    spacing = max(_spacing(xs), _spacing(ys))
+    per_row = ys.size * lams.size
+    rows = min(xs.size, max(1, _TILE_TRIPLES // per_row))
+    cols = ys.size if per_row <= _TILE_TRIPLES else max(1, _TILE_TRIPLES // lams.size)
+    bufs = np.empty((3, rows * cols * lams.size))
+    best, witness = np.inf, None
+    for i in range(0, xs.size, rows):
+        for j in range(0, ys.size, cols):
+            tile_rows, tile_cols = slice(i, i + rows), slice(j, j + cols)
+            defects = _defect_tile(f, xs, ys, lams, lfx, lfy, spacing, tile_rows, tile_cols, bufs)
+            value, candidate = _grid_min(defects, xs[tile_rows], ys[tile_cols], lams)
+            if witness is None or value < best:
+                best, witness = value, candidate
     return best, witness
 
 

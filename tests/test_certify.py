@@ -17,6 +17,7 @@ from hhcert.expr import DomainError, parse
 EXP_X2 = parse("exp(x^2)")
 EXP_X = parse("exp(x)")
 ONE = parse("1")
+POWER = parse("(x + 0.3)^1.5")  # log-concave: negative minimum
 
 
 # --------------------------------------------------------------------------
@@ -112,6 +113,25 @@ def test_exp_x2_certifies_strictly_positive():
     assert cert.c_star > 0.999  # the true infimum is 1.0, approached at x=y=0
 
 
+@pytest.mark.parametrize("f", [EXP_X2, ONE, POWER], ids=["exp_x2", "one", "power"])
+def test_defect_grid_is_the_written_out_formula_bit_for_bit(f):
+    # the kernel writes into reused buffers, but each step must stay the same
+    # ufunc on the same grouping: the grouped log differences are what make
+    # constants certify exactly 0
+    xs = np.linspace(0.0, 1.0, 24)
+    ys = np.linspace(0.1, 0.7, 17)
+    lams = np.linspace(0.0, 1.0, 11)
+    X, Y, LAM = xs[:, None, None], ys[None, :, None], lams[None, None, :]
+    fT = f.eval_array(LAM * X + (1.0 - LAM) * Y)
+    with np.errstate(all="ignore"):
+        lfx, lfy, lfT = np.log(f.eval_array(X)), np.log(f.eval_array(Y)), np.log(fT)
+        delta = LAM * (lfx - lfT) + (1.0 - LAM) * (lfy - lfT)
+        ratio = fT * np.expm1(delta) / (LAM * (1.0 - LAM) * (X - Y) ** 2)
+    spacing = max(xs[1] - xs[0], ys[1] - ys[0])
+    valid = (np.abs(X - Y) > 0.49 * spacing) & (LAM > 0.0) & (LAM < 1.0)
+    assert np.array_equal(_defect_grid(f, xs, ys, lams), np.where(valid, ratio, np.inf))
+
+
 def test_exp_x2_against_dense_brute_force_oracle():
     # independent cross-check: one dense 512^3 pass, no refinement, chunked
     # to keep memory flat; the infimum of the defect of e^{x^2} on [0,1] is
@@ -131,19 +151,44 @@ def test_exp_x2_against_dense_brute_force_oracle():
     assert cert.c_star <= dense_min + 1e-6
 
 
-def test_chunked_grid_walk_matches_single_pass(monkeypatch):
-    # large grids are walked in x-slabs for flat memory; the walk must be
-    # bitwise identical to one full pass, including the witness tie-break
+@pytest.mark.parametrize("tile", [20_000, 1_000], ids=["x_rows", "y_columns"])
+@pytest.mark.parametrize("f", [EXP_X2, ONE, POWER], ids=["exp_x2", "one", "power"])
+def test_chunked_grid_walk_matches_single_pass(monkeypatch, f, tile):
+    # the grid is walked in tiles of whole x-rows, or of y-columns within one
+    # x-row once a row outgrows a tile; the walk must be bitwise identical to
+    # one full pass, including the witness tie-break (every defect of ONE is
+    # exactly 0, so its witness is the first valid triple of the whole grid)
     import hhcert.certify as certify_module
 
     xs = np.linspace(0.0, 1.0, 48)
     lams = np.arange(1, 49, dtype=float) / 49.0
-    reference = certify_module._grid_min(
-        _defect_grid(EXP_X2, xs, xs, lams), xs, xs, lams
-    )
-    monkeypatch.setattr(certify_module, "_BLOCK_TRIPLES", 20_000)
-    chunked = certify_module._min_over_grid(EXP_X2, xs, xs, lams)
-    assert chunked == reference
+    reference = certify_module._grid_min(_defect_grid(f, xs, xs, lams), xs, xs, lams)
+    cert = estimate_modulus(f, 0.0, 1.0, grid_n=48, refine_rounds=2)
+    check = check_modulus(f, 0.0, 1.0, 0.5, grid_n=48)
+    monkeypatch.setattr(certify_module, "_TILE_TRIPLES", tile)
+    assert certify_module._min_over_grid(f, xs, xs, lams) == reference
+    assert estimate_modulus(f, 0.0, 1.0, grid_n=48, refine_rounds=2) == cert
+    assert check_modulus(f, 0.0, 1.0, 0.5, grid_n=48) == check
+
+
+def test_tiles_stay_small_at_any_grid_size(monkeypatch):
+    # one x-row of a 300-point grid holds 90,000 triples, more than a tile, so
+    # the walk splits ys too and memory stays flat
+    import hhcert.certify as certify_module
+
+    sizes = []
+    kernel = certify_module._defect_tile
+
+    def recording_kernel(*args):
+        defects = kernel(*args)
+        sizes.append(defects.size)
+        return defects
+
+    monkeypatch.setattr(certify_module, "_defect_tile", recording_kernel)
+    n = 300
+    check_modulus(EXP_X2, 0.0, 1.0, 0.5, grid_n=n)
+    assert sum(sizes) == n**3
+    assert max(sizes) <= max(certify_module._TILE_TRIPLES, n)
 
 
 def test_equal_minima_pick_the_lexicographically_first_witness():
@@ -226,6 +271,20 @@ def test_non_positive_function_raises_not_applicable():
 def test_domain_error_propagates():
     with pytest.raises(DomainError):
         estimate_modulus(parse("ln(x)"), -0.5, 1.0, grid_n=8, refine_rounds=0)
+
+
+@pytest.mark.parametrize("grid_n", [16, 64, 200])
+def test_underflowing_denominator_is_a_named_error(grid_n):
+    # on [0, 1e-160] lam*(1-lam)*(x-y)^2 underflows to 0, so the ratios would
+    # be 0/0; both entry points refuse and name the interval and the grid
+    # rather than report a nan modulus
+    for run in (
+        lambda: estimate_modulus(ONE, 0.0, 1e-160, grid_n=grid_n),
+        lambda: check_modulus(ONE, 0.0, 1e-160, 0.5, grid_n=grid_n),
+    ):
+        with pytest.raises(ValueError, match="too narrow") as err:
+            run()
+        assert f"{grid_n}x{grid_n}x{grid_n} grid over x in [0.0, 1e-160]" in str(err.value)
 
 
 def test_determinism():

@@ -51,6 +51,16 @@ def test_bad_interval_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--grid", "200"]])
+def test_certify_on_an_underflowing_interval_exits_two(capsys, extra):
+    # lam*(1-lam)*(x-y)^2 underflows to 0 on [0, 1e-160]: a named error, not
+    # a "certified" nan
+    code, out, err = run(capsys, "certify", "--f", "1", "--a", "0", "--b", "1e-160", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "too narrow" in err
+
+
 def test_usage_error_exits_two(capsys):
     assert main(["chain", "--f", "x"]) == 2  # missing required flags
 
