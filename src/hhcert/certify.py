@@ -105,24 +105,26 @@ class ModulusCheck:
 
 
 def _positive_values(f: Expression, pts: np.ndarray) -> np.ndarray:
-    """Evaluate f over pts, requiring finite positive values everywhere."""
+    """Evaluate f over pts, requiring finite positive values everywhere.
+
+    The values that pass take two reductions (a NaN fails the first); the
+    first failing point is then located for the error.
+    """
     vals = f.eval_array(pts)
+    if vals.min() > 0.0 and vals.max() < np.inf:
+        return vals
     flat_vals = vals.ravel()
+    flat_pts = np.asarray(pts, dtype=float).ravel()
     finite = np.isfinite(flat_vals)
     if not finite.all():
-        bad = float(np.asarray(pts, dtype=float).ravel()[int(np.argmin(finite))])
+        bad = float(flat_pts[int(np.argmin(finite))])
         f(bad)  # raises the precise DomainError / EvaluationError
         raise NotPositiveError(f"non-finite value at x={bad!r}", x=bad)  # pragma: no cover
-    nonpos = flat_vals <= 0.0
-    if nonpos.any():
-        idx = int(np.argmax(nonpos))
-        bad = float(np.asarray(pts, dtype=float).ravel()[idx])
-        raise NotPositiveError(
-            f"f(x) = {flat_vals[idx]!r} <= 0 at x={bad!r}; log-convexity does not apply",
-            x=bad,
-            value=float(flat_vals[idx]),
-        )
-    return vals
+    idx = int(np.argmax(flat_vals <= 0.0))
+    bad, value = float(flat_pts[idx]), float(flat_vals[idx])
+    raise NotPositiveError(
+        f"f(x) = {value!r} <= 0 at x={bad!r}; log-convexity does not apply", x=bad, value=value
+    )
 
 
 def log_defect(f: Expression, x: float, y: float, lam: float) -> float:

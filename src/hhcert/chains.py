@@ -28,24 +28,33 @@ ln(f(b) - f(a)) and A + L in place of the derived bracket) is computed
 behind an explicit flag for documentation purposes; its logarithm is only
 defined for f(b) - f(a) > 0 and nonzero only away from f(b) - f(a) = 1.
 
-Verdicts use a margin tolerance scaled by max(1, largest |term|), and the
-internal quadrature calls scale their absolute tolerance by a bound on the
-integrand's magnitude, so the one-digit gap between integral accuracy and
-verdict tolerance survives functions of any size.
+Every integral of the last three checks is a mean over [a, b] of a function
+of f(x) and f(a+b-x): mean f, mean ln f, mean sqrt(f(x) f(a+b-x)) and mean
+f(x) f(a+b-x).  ``_means`` computes all four in one quadrature pass of four
+rows that evaluates f twice per node, and each check, and ``max_feasible_c``,
+assembles its terms from that one result.  The strengthened chain at c = 0
+therefore equals terms 1, 3, 4, 5, 6 of the six-term chain bit for bit by
+construction: the same numbers, plus exact additions of 0.0.  The classical
+chain needs no positivity and uses ``mean_integral``.
+
+Verdicts use a margin tolerance scaled by max(1, largest |term|), and each
+quadrature row scales its absolute tolerance by a bound on the row's
+magnitude, so the one-digit gap between integral accuracy and verdict
+tolerance survives functions of any size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import means
-from .certify import NotPositiveError
+from .certify import _positive_values
 from .expr import Expression
-from .quadrature import IntegrandError, integrate
+from .quadrature import integrate, mean_integral
 
 __all__ = [
     "ChainReport",
@@ -105,71 +114,43 @@ class Theorem2Report:
     tol: float
 
 
-# --------------------------------------------------------------------------
-# Integrand helpers.  All integrands receive numpy arrays; positivity is
-# checked where the chain requires it, with the offending abscissa surfaced
-# through the scalar evaluation path for a precise error message.
-# --------------------------------------------------------------------------
+class _Means(NamedTuple):
+    """f at the ends and the middle of [a, b], and every c-independent term."""
 
-def _finite_values(f: Expression, xs: np.ndarray) -> np.ndarray:
-    vals = f.eval_array(xs)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = float(xs[int(np.argmin(finite))])
-        f(bad)  # raises DomainError / EvaluationError with detail
-        raise IntegrandError(f"non-finite value at x={bad!r}", x=bad)  # pragma: no cover
-    return vals
+    fa: float
+    fb: float
+    fm: float
+    mean_f: float
+    exp_mean_log: float
+    mean_geometric: float  # mean of sqrt(f(x) f(a+b-x))
+    mean_product: float  # mean of f(x) f(a+b-x)
+    log_mean: float  # L(f(a), f(b))
+    end_avg: float  # A(f(a), f(b))
 
 
-def _positive_values(f: Expression, xs: np.ndarray) -> np.ndarray:
-    vals = _finite_values(f, xs)
-    nonpos = vals <= 0.0
-    if nonpos.any():
-        idx = int(np.argmax(nonpos))
-        raise NotPositiveError(
-            f"f(x) = {vals[idx]!r} <= 0 at x={xs[idx]!r}; the chain needs f > 0",
-            x=float(xs[idx]),
-            value=float(vals[idx]),
-        )
-    return vals
+def _means(f: Expression, a: float, b: float, tol: float) -> _Means:
+    """The quantities of the positive chains, with one quadrature pass.
 
+    The pass integrates the rows f, ln f, sqrt(f f_r) and f f_r, where
+    f_r(x) = f(a+b-x), and evaluates f twice per node; f must be positive at
+    every node and at a, b and (a+b)/2.  Each row's absolute tolerance is
+    ``tol`` times a bound on its magnitude: log-convex f is convex, so its
+    maximum over [a, b] sits at an endpoint, and fm is a cheap hedge for
+    inputs that are not log-convex.
+    """
+    fa, fb, fm = _positive_values(f, np.array([a, b, (a + b) / 2.0])).tolist()
+    scale = max(1.0, fa, fb, fm)
+    log_scale = max(1.0, abs(math.log(fa)), abs(math.log(fb)), abs(math.log(fm)))
 
-def _value_at(f: Expression, x: float, positive: bool) -> float:
-    v = f(x)
-    if positive and v <= 0.0:
-        raise NotPositiveError(
-            f"f(x) = {v!r} <= 0 at x={x!r}; the chain needs f > 0", x=x, value=v
-        )
-    return v
+    def rows(xs):
+        fx, fr = _positive_values(f, np.concatenate((xs, a + b - xs))).reshape(2, -1)
+        product = fx * fr
+        return np.array((fx, np.log(fx), np.sqrt(product), product))
 
-
-def _mean_f(f, a, b, tol_abs) -> float:
-    return integrate(lambda xs: _finite_values(f, xs), a, b, tol_abs).value / (b - a)
-
-
-def _mean_f_positive(f, a, b, tol_abs) -> float:
-    return integrate(lambda xs: _positive_values(f, xs), a, b, tol_abs).value / (b - a)
-
-
-def _mean_geometric(f, a, b, tol_abs) -> float:
-    def g(xs):
-        return np.sqrt(_positive_values(f, xs) * _positive_values(f, a + b - xs))
-
-    return integrate(g, a, b, tol_abs).value / (b - a)
-
-
-def _exp_mean_log(f, a, b, tol_abs) -> float:
-    def g(xs):
-        return np.log(_positive_values(f, xs))
-
-    return math.exp(integrate(g, a, b, tol_abs).value / (b - a))
-
-
-def _mean_product(f, a, b, tol_abs) -> float:
-    def g(xs):
-        return _positive_values(f, xs) * _positive_values(f, a + b - xs)
-
-    return integrate(g, a, b, tol_abs).value / (b - a)
+    tols = tol * np.array([scale, log_scale, scale, scale * scale])
+    mean_f, mean_log, mean_geo, mean_prod = (integrate(rows, a, b, tols).value / (b - a)).tolist()
+    log_mean, end_avg = means.logarithmic_mean(fa, fb), means.arithmetic_mean(fa, fb)
+    return _Means(fa, fb, fm, mean_f, math.exp(mean_log), mean_geo, mean_prod, log_mean, end_avg)
 
 
 def _validate_interval(a: float, b: float) -> Tuple[float, float]:
@@ -178,6 +159,13 @@ def _validate_interval(a: float, b: float) -> Tuple[float, float]:
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
     return a, b
+
+
+def _modulus(c: float) -> float:
+    c = float(c)
+    if not c >= 0.0:
+        raise ValueError(f"modulus must be nonnegative, got {c!r}")
+    return c
 
 
 def _report(f, a, b, c, named_terms, margin_tol) -> ChainReport:
@@ -211,27 +199,28 @@ def classical_hh_terms(
 ) -> ChainReport:
     """midpoint value <= mean integral <= endpoint average (convex f)."""
     a, b = _validate_interval(a, b)
-    fa = _value_at(f, a, positive=False)
-    fb = _value_at(f, b, positive=False)
-    fm = _value_at(f, (a + b) / 2.0, positive=False)
+    fa = f(a)
+    fb = f(b)
+    fm = f((a + b) / 2.0)
     scale = max(1.0, abs(fa), abs(fb), abs(fm))
     terms = [
         ("midpoint_value", fm),
-        ("mean_integral", _mean_f(f, a, b, tol * scale)),
+        ("mean_integral", mean_integral(f, a, b, tol * scale)),
         ("endpoint_average", (fa + fb) / 2.0),
     ]
     return _report(f, a, b, 0.0, terms, margin_tol)
 
 
-def _dm_quantities(f, a, b, tol):
-    fa = _value_at(f, a, positive=True)
-    fb = _value_at(f, b, positive=True)
-    fm = _value_at(f, (a + b) / 2.0, positive=True)
-    # log-convex f is convex, so its maximum over [a, b] sits at an endpoint;
-    # fm is included as a cheap hedge for inputs that are not log-convex.
-    scale = max(1.0, fa, fb, fm)
-    log_scale = max(1.0, abs(math.log(fa)), abs(math.log(fb)), abs(math.log(fm)))
-    return fa, fb, fm, scale, log_scale
+def _dm_assemble(f, a, b, m: _Means, margin_tol) -> ChainReport:
+    terms = [
+        ("midpoint_value", m.fm),
+        ("exp_mean_log", m.exp_mean_log),
+        ("mean_geometric_reflected", m.mean_geometric),
+        ("mean_integral", m.mean_f),
+        ("log_mean_endpoints", m.log_mean),
+        ("endpoint_average", m.end_avg),
+    ]
+    return _report(f, a, b, 0.0, terms, margin_tol)
 
 
 def dragomir_mond_chain(
@@ -247,37 +236,17 @@ def dragomir_mond_chain(
                <= L(f(a), f(b)) <= (f(a)+f(b))/2.
     """
     a, b = _validate_interval(a, b)
-    fa, fb, fm, scale, log_scale = _dm_quantities(f, a, b, tol)
-    terms = [
-        ("midpoint_value", fm),
-        ("exp_mean_log", _exp_mean_log(f, a, b, tol * log_scale)),
-        ("mean_geometric_reflected", _mean_geometric(f, a, b, tol * scale)),
-        ("mean_integral", _mean_f_positive(f, a, b, tol * scale)),
-        ("log_mean_endpoints", means.logarithmic_mean(fa, fb)),
-        ("endpoint_average", means.arithmetic_mean(fa, fb)),
-    ]
-    return _report(f, a, b, 0.0, terms, margin_tol)
+    return _dm_assemble(f, a, b, _means(f, a, b, tol), margin_tol)
 
 
-def _theorem1_base(f, a, b, tol):
-    """The four c-independent quantities of the strengthened chain."""
-    fa, fb, fm, scale, _ = _dm_quantities(f, a, b, tol)
-    mean_geo = _mean_geometric(f, a, b, tol * scale)
-    mean_f = _mean_f_positive(f, a, b, tol * scale)
-    log_mean = means.logarithmic_mean(fa, fb)
-    end_avg = means.arithmetic_mean(fa, fb)
-    return fm, mean_geo, mean_f, log_mean, end_avg
-
-
-def _theorem1_assemble(f, a, b, c, base, margin_tol) -> ChainReport:
-    fm, mean_geo, mean_f, log_mean, end_avg = base
+def _theorem1_assemble(f, a, b, c, m: _Means, margin_tol) -> ChainReport:
     q2 = c * (b - a) ** 2
     terms = [
-        ("midpoint_plus_correction", fm + q2 / 12.0),
-        ("mean_geometric_reflected", mean_geo),
-        ("mean_integral", mean_f),
-        ("log_mean_minus_correction", log_mean - q2 / 6.0),
-        ("endpoint_average_minus_correction", end_avg - q2 / 6.0),
+        ("midpoint_plus_correction", m.fm + q2 / 12.0),
+        ("mean_geometric_reflected", m.mean_geometric),
+        ("mean_integral", m.mean_f),
+        ("log_mean_minus_correction", m.log_mean - q2 / 6.0),
+        ("endpoint_average_minus_correction", m.end_avg - q2 / 6.0),
     ]
     return _report(f, a, b, c, terms, margin_tol)
 
@@ -293,16 +262,13 @@ def theorem1_chain(
     """Five-term strengthened chain for strongly log-convex f with modulus c.
 
     With c = 0 the five terms are bitwise equal to terms 1, 3, 4, 5, 6 of
-    :func:`dragomir_mond_chain` (identical quadrature calls, plus exact
+    :func:`dragomir_mond_chain` (the same ``_means`` pass, plus exact
     additions of 0.0).  Any c >= 0 is accepted without certifying it first:
     hunting for violations requires evaluating infeasible moduli.
     """
     a, b = _validate_interval(a, b)
-    c = float(c)
-    if not c >= 0.0:
-        raise ValueError(f"modulus must be nonnegative, got {c!r}")
-    base = _theorem1_base(f, a, b, tol)
-    return _theorem1_assemble(f, a, b, c, base, margin_tol)
+    c = _modulus(c)
+    return _theorem1_assemble(f, a, b, c, _means(f, a, b, tol), margin_tol)
 
 
 # --------------------------------------------------------------------------
@@ -353,17 +319,14 @@ def theorem2_bound(
     f(b)-f(a) is positive and not 1), or "both".
     """
     a, b = _validate_interval(a, b)
-    c = float(c)
-    if not c >= 0.0:
-        raise ValueError(f"modulus must be nonnegative, got {c!r}")
+    c = _modulus(c)
     if form not in _THEOREM2_FORMS:
         raise ValueError(f"form must be one of {_THEOREM2_FORMS}, got {form!r}")
+    return _theorem2_assemble(f, a, b, c, _means(f, a, b, tol), margin_tol, form)
 
-    fa = _value_at(f, a, positive=True)
-    fb = _value_at(f, b, positive=True)
-    scale = max(1.0, fa, fb, _value_at(f, (a + b) / 2.0, positive=True))
-    lhs = _mean_product(f, a, b, tol * scale * scale)
 
+def _theorem2_assemble(f, a, b, c, m: _Means, margin_tol, form) -> Theorem2Report:
+    fa, fb, lhs = m.fa, m.fb, m.mean_product
     bracket = fb * closed_form_J(fa / fb) + fa * closed_form_J(fb / fa)
     k = math.log(fa / fb)
     q2 = c * (b - a) ** 2
@@ -375,7 +338,7 @@ def theorem2_bound(
     if form in ("as_printed", "both") and printed_applicable:
         log_diff = math.log(diff)
         rhs_as_printed = fa * fb + q2 * q2 / 30.0 - (4.0 * q2 / log_diff**2) * (
-            means.arithmetic_mean(fa, fb) + means.logarithmic_mean(fa, fb)
+            m.end_avg + m.log_mean
         )
 
     tol_eff = margin_tol * max(1.0, abs(lhs), abs(rhs_corrected))
@@ -421,13 +384,13 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
     a verdict slack would add ~6*slack/w^2 of spurious c to a constant's 0.
     """
     a, b = _validate_interval(a, b)
-    base = _theorem1_base(f, a, b, tol)
+    m = _means(f, a, b, tol)
 
     def holds(c: float) -> bool:
-        return _theorem1_assemble(f, a, b, c, base, tol).holds
+        return _theorem1_assemble(f, a, b, c, m, tol).holds
 
     if not holds(0.0):
-        report = _theorem1_assemble(f, a, b, 0.0, base, tol)
+        report = _theorem1_assemble(f, a, b, 0.0, m, tol)
         raise NotLogConvexError(
             "chain fails already at c = 0; f is not log-convex on the interval "
             f"(min margin {report.min_margin!r})",
@@ -435,6 +398,7 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
         )
 
     w2 = (b - a) ** 2
+    base = (m.fm, m.mean_geometric, m.mean_f, m.log_mean, m.end_avg)
     terms = tuple(zip(base, (w2 / 12.0, 0.0, 0.0, -w2 / 6.0, -w2 / 6.0)))  # p + q c
     pieces = [(tol, 0.0)]
     pieces += [(s * tol * p, s * tol * q) for p, q in terms for s in (1.0, -1.0)]

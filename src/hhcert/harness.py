@@ -11,18 +11,21 @@ in [-2, 2] and b - a >= 0.1):
 * ``custom``: caller-provided expression text (never generated).
 
 Each sweep case gets its own substream spawned from one seed, so reports
-are bit-identical across reruns and independent of execution order.  The
-Dragomir-Mond chain runs for every case (it only needs positivity); the
-strengthened chain and the product bound run when the certifier reports a
-strictly positive modulus, at c = c_star * u with u drawn in (0, 1], or at
-a caller-forced c.  Failures of the "as printed" product bound are tallied
-separately and never fail a sweep: they document a typeset discrepancy,
-not a property of f.
+are bit-identical across reruns and independent of execution order.  A
+case's expression is parsed once and certified once, and all its chains
+are assembled from one quadrature pass.  The Dragomir-Mond chain runs for
+every case (it only needs positivity); the strengthened chain and the
+product bound run when the certifier reports a strictly positive modulus,
+at c = c_star * u with u drawn in (0, 1], or at a caller-forced c.
+Failures of the "as printed" product bound are tallied separately and
+never fail a sweep: they document a typeset discrepancy, not a property
+of f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,6 +93,12 @@ class CaseSpec:
     function_text: str
 
     def expression(self) -> Expression:
+        return self._expression
+
+    @cached_property
+    def _expression(self) -> Expression:
+        # cached_property writes the instance dict directly, so the frozen
+        # case still compares and hashes by its fields alone
         return parse(self.function_text)
 
 
@@ -131,8 +140,7 @@ def _draw_interval(rng: np.random.Generator) -> Tuple[float, float]:
             return float(lo), float(hi)
 
 
-def _positive_on_sample(text: str, a: float, b: float) -> bool:
-    f = parse(text)
+def _positive_on_sample(f: Expression, a: float, b: float) -> bool:
     try:
         vals = f.eval_array(np.linspace(a, b, 33))
     except Exception:
@@ -169,10 +177,11 @@ def generate_case(family: str, rng: np.random.Generator, seed: int = 0) -> CaseS
             p = float(rng.uniform(-2.0, 2.0))
             params = (s, p)
             text = f"(x + {s!r})^{p!r}"
-        if _positive_on_sample(text, a, b):
-            return CaseSpec(
-                family=family, parameters=params, a=a, b=b, seed=seed, function_text=text
-            )
+        case = CaseSpec(
+            family=family, parameters=params, a=a, b=b, seed=seed, function_text=text
+        )
+        if _positive_on_sample(case.expression(), a, b):
+            return case
 
 
 def _chain_outcome(report) -> Tuple[str, float, Tuple[str, str]]:
@@ -196,31 +205,39 @@ def run_case(
     given (sweeps pass c = c_star * u for certified-positive cases; tests
     may force any c, including infeasible ones).
     """
+    return _run_case(case, tol, margin_tol, grid_n, refine_rounds, certificate, c=c)
+
+
+def _run_case(case, tol, margin_tol, grid_n, refine_rounds, certificate, c=None, u=None):
+    """``run_case``; with ``u`` given, c = c_star * u for a certified-positive case."""
     outcomes: Dict[str, str] = {kind: NOT_APPLICABLE for kind in CHAIN_KINDS}
     margins: Dict[str, Optional[float]] = {kind: None for kind in CHAIN_KINDS}
     pairs: Dict[str, Optional[Tuple[str, str]]] = {kind: None for kind in CHAIN_KINDS}
 
     f = case.expression()
+    a, b = case.a, case.b
     if certificate is None:
         try:
-            certificate = estimate_modulus(f, case.a, case.b, grid_n, refine_rounds)
+            certificate = estimate_modulus(f, a, b, grid_n, refine_rounds)
         except _CASE_ERRORS:
             certificate = None
+    if u is not None and certificate is not None:
+        if certificate.status is CertStatus.CERTIFIED_POSITIVE:
+            c = certificate.c_star * u
 
     try:
-        dm = chains.dragomir_mond_chain(f, case.a, case.b, tol, margin_tol)
-        outcomes[KIND_DM], margins[KIND_DM], pairs[KIND_DM] = _chain_outcome(dm)
+        m = chains._means(f, a, b, tol)
     except _CASE_ERRORS:
-        pass
-
-    if c is not None:
+        m = None
+    if m is not None:
+        dm = chains._dm_assemble(f, a, b, m, margin_tol)
+        outcomes[KIND_DM], margins[KIND_DM], pairs[KIND_DM] = _chain_outcome(dm)
+    if m is not None and c is not None:
         try:
-            t1 = chains.theorem1_chain(f, case.a, case.b, c, tol, margin_tol)
+            modulus = chains._modulus(c)
+            t1 = chains._theorem1_assemble(f, a, b, modulus, m, margin_tol)
             outcomes[KIND_T1], margins[KIND_T1], pairs[KIND_T1] = _chain_outcome(t1)
-        except _CASE_ERRORS:
-            pass
-        try:
-            t2 = chains.theorem2_bound(f, case.a, case.b, c, tol, margin_tol, form="both")
+            t2 = chains._theorem2_assemble(f, a, b, modulus, m, margin_tol, "both")
             outcomes[KIND_T2] = HOLDS if t2.holds_corrected else VIOLATED
             margins[KIND_T2] = t2.margin_corrected
             pairs[KIND_T2] = ("mean_product_integral", "rhs_corrected")
@@ -273,28 +290,8 @@ def sweep_results(
         family = families[int(rng.integers(len(families)))] if len(families) > 1 else families[0]
         u = 1.0 - float(rng.random())  # in (0, 1]
         case = generate_case(family, rng, seed=index)
-
-        f = case.expression()
-        certificate: Optional[ModulusCertificate] = None
-        try:
-            certificate = estimate_modulus(f, case.a, case.b, grid_n, refine_rounds)
-        except _CASE_ERRORS:
-            certificate = None
-
-        c: Optional[float] = None
-        if certificate is not None and certificate.status is CertStatus.CERTIFIED_POSITIVE:
-            c = certificate.c_star * u
-
         results.append(
-            run_case(
-                case,
-                c=c,
-                tol=tol,
-                margin_tol=margin_tol,
-                grid_n=grid_n,
-                refine_rounds=refine_rounds,
-                certificate=certificate,
-            )
+            _run_case(case, tol, margin_tol, grid_n, refine_rounds, certificate=None, u=u)
         )
     return tuple(results)
 

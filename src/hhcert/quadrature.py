@@ -7,17 +7,25 @@ inheriting half the share, so the accepted panels' estimates sum to at
 most the requested tolerance.  The 15-point rule integrates polynomials
 up to degree 22 exactly, far beyond the degree-10 single-panel requirement.
 
-Two guards keep the recursion honest:
+The panel tree is walked breadth-first: the active panels of one bisection
+level go to the integrand as one flat array of abscissae, in chunks of
+``_CHUNK_PANELS`` panels so one call's memory is bounded.  The K15, G7 and
+absolute sums are numpy reductions over each panel's nodes, in an order
+that does not depend on the batch.  An integrand may return k rows, one
+per function, with k tolerances; a panel is then accepted only when every
+row meets its own share (or roundoff floor).
+
+Two guards keep the refinement honest:
 
 * a panel whose raw estimate is already below ~50 eps times the panel's
   absolute integral is roundoff-limited and is not split further
   (bisection cannot beat double precision);
-* recursion depth is capped (default 50); panels cut off there still
+* refinement depth is capped (default 50); panels cut off there still
   contribute their best estimate and the result reports converged=False
   whenever the summed estimate misses the tolerance.
 
-Evaluation order is fixed (left panel before right, weights accumulated
-in ascending node order), so results are bit-reproducible.
+Accepted panels are summed in ascending abscissa order, whatever level
+accepted them, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -68,29 +76,32 @@ _NODES = np.array(
 )
 _WGK = [w for w in _WGK_POS] + [_WGK_CENTER] + [w for w in reversed(_WGK_POS)]
 _WG = [w for w in _WG_POS] + [_WG_CENTER] + [w for w in reversed(_WG_POS)]
+_WG = [_WG[i // 2] if i % 2 else 0.0 for i in range(15)]  # zero at Kronrod-only nodes
 
 
-def _normalize(weights: list) -> tuple:
-    # Nudge the central weight so the fixed-order sum is exactly 2.0; this
-    # makes the integral of the constant 1 bitwise exact.
-    total = 0.0
-    for w in weights:
-        total += w
-    center = len(weights) // 2
-    weights[center] += 2.0 - total
-    return tuple(weights)
+def _normalize(weights: list) -> np.ndarray:
+    # Nudge the central weight (node 7) so the panel reduction's sum of the
+    # weights is exactly 2.0; this makes the integral of 1 bitwise exact.
+    weights = np.array(weights)
+    weights[7] += 2.0 - np.add.reduce(weights)
+    return weights
 
 
-_WGK = _normalize(_WGK)
-_WG = _normalize(_WG)
+# Row 0 holds the K15 weights, row 1 the G7 weights, so one reduction over a
+# panel's 15 nodes yields both sums.
+_WEIGHTS = np.array([_normalize(_WGK), _normalize(_WG)])
+
+# Panels per integrand call.  At 512 panels one call sees 7,680 abscissae,
+# so a 4-row integrand's values take 240 kB however many panels a level has.
+_CHUNK_PANELS = 512
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
+    value: float  # an array of k values for a k-row integrand
+    error_estimate: float  # likewise
+    evaluations: int  # abscissae evaluated, 15 per panel
+    converged: bool  # every row within its tolerance
 
 
 class IntegrandError(Exception):
@@ -101,32 +112,27 @@ class IntegrandError(Exception):
         self.x = x
 
 
-def _panel(g: Callable, lo: float, hi: float) -> tuple:
+def _panels(g: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """K15 values, |K15 - G7| estimates and roundoff floors of the panels [lo, hi].
+
+    Each result has one entry per panel, preceded by the row axis when
+    ``g`` returns rows.
+    """
     center = 0.5 * (lo + hi)
     halfw = 0.5 * (hi - lo)
-    nodes = center + halfw * _NODES
+    nodes = (center[:, None] + halfw[:, None] * _NODES).ravel()
     vals = np.asarray(g(nodes), dtype=float)
-    if vals.shape != nodes.shape:
+    if vals.ndim not in (1, 2) or vals.shape[-1] != nodes.size:
         raise ValueError("integrand must return one value per abscissa")
     finite = np.isfinite(vals)
     if not finite.all():
-        bad = int(np.argmin(finite))
-        raise IntegrandError(
-            f"integrand is not finite at x={nodes[bad]!r}", x=float(nodes[bad])
-        )
-    k15 = 0.0
-    resabs = 0.0
-    for i in range(15):
-        wv = _WGK[i] * vals[i]
-        k15 += wv
-        resabs += abs(wv)
-    g7 = 0.0
-    for i in range(7):
-        g7 += _WG[i] * vals[2 * i + 1]
-    k15 *= halfw
-    g7 *= halfw
-    resabs *= halfw
-    return k15, abs(k15 - g7), 50.0 * _EPS * resabs
+        x = float(nodes[int(np.argmin(finite.reshape(-1, nodes.size).all(axis=0)))])
+        raise IntegrandError(f"integrand is not finite at x={x!r}", x=x)
+    terms = vals.reshape(vals.shape[:-1] + (lo.size, 1, 15)) * _WEIGHTS
+    sums = np.add.reduce(terms, axis=-1) * halfw[:, None]
+    k15, g7 = sums[..., 0], sums[..., 1]
+    resabs = np.add.reduce(np.abs(terms[..., 0, :]), axis=-1) * halfw
+    return k15, np.abs(k15 - g7), 50.0 * _EPS * resabs
 
 
 def integrate(
@@ -138,31 +144,54 @@ def integrate(
 ) -> QuadratureResult:
     """Integrate ``g`` over [a, b] to absolute tolerance ``tol``.
 
-    ``g`` receives a numpy array of abscissae and must return the matching
-    array of values (plain ufunc arithmetic in a lambda is enough).
+    ``g`` receives a 1-D numpy array of abscissae and must return the
+    matching array of values (plain ufunc arithmetic in a lambda is
+    enough).  It may instead return a (k, n) array, one row per integrand;
+    ``tol`` then holds k tolerances (or one for all rows), and ``value``
+    and ``error_estimate`` of the result are arrays of k entries.
     """
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError(f"integration interval must satisfy a < b, got [{a!r}, {b!r}]")
-    if not tol > 0.0:
+    tols = np.array(tol, dtype=float, ndmin=1)
+    if tols.ndim > 1 or not tols.min() > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
 
+    tols_by_row = tols[:, None]
+    los, his = np.array([a]), np.array([b])
+    kept = []  # lo and (value, error) of each chunk's accepted panels
     evaluations = 0
-
-    def recurse(lo: float, hi: float, share: float, depth: int) -> tuple:
-        nonlocal evaluations
-        evaluations += 15
-        value, raw, floor = _panel(g, lo, hi)
-        if raw <= share or raw <= floor or depth >= max_depth:
-            return value, max(raw, floor)
+    depth = 0
+    while True:
+        share = tols_by_row * 0.5**depth
+        split = []
+        for start in range(0, los.size, _CHUNK_PANELS):
+            lo, hi = los[start : start + _CHUNK_PANELS], his[start : start + _CHUNK_PANELS]
+            value, raw, floor = _panels(g, lo, hi)
+            evaluations += 15 * lo.size
+            done = np.logical_and.reduce((raw <= np.maximum(share, floor)).reshape(-1, lo.size))
+            sums = np.array((value, np.maximum(raw, floor)))
+            if depth >= max_depth or done.all():
+                kept.append((lo, sums))
+            else:
+                kept.append((lo[done], sums[..., done]))
+                split.append((lo[~done], hi[~done]))
+        if not split:
+            break
+        lo, hi = (np.concatenate(ends) for ends in zip(*split))
         mid = 0.5 * (lo + hi)
-        lval, lerr = recurse(lo, mid, 0.5 * share, depth + 1)
-        rval, rerr = recurse(mid, hi, 0.5 * share, depth + 1)
-        return lval + rval, lerr + rerr
+        los, his = np.empty((2, 2 * lo.size))  # the children, in abscissa order
+        los[0::2], los[1::2] = lo, mid
+        his[0::2], his[1::2] = mid, hi
+        depth += 1
 
-    value, err = recurse(a, b, tol, 0)
-    return QuadratureResult(value, err, evaluations, bool(err <= tol))
+    lo, sums = kept[0]
+    if len(kept) > 1:  # levels and chunks interleave in abscissa
+        lo, sums = (np.concatenate(parts, axis=-1) for parts in zip(*kept))
+        sums = sums[..., np.argsort(lo, kind="stable")]
+    value, err = np.add.reduce(sums, axis=-1)
+    return QuadratureResult(value, err, evaluations, bool((err <= tols).all()))
 
 
 def mean_integral(f: Expression, a: float, b: float, tol: float = 1e-10) -> float:

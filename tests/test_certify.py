@@ -11,8 +11,9 @@ from hhcert.certify import (
     estimate_modulus,
     log_defect,
     _defect_grid,
+    _positive_values,
 )
-from hhcert.expr import DomainError, parse
+from hhcert.expr import DomainError, EvaluationError, parse
 
 EXP_X2 = parse("exp(x^2)")
 EXP_X = parse("exp(x)")
@@ -266,6 +267,24 @@ def test_scaling_law_on_fixed_grids():
 def test_non_positive_function_raises_not_applicable():
     with pytest.raises(NotPositiveError):
         estimate_modulus(parse("x"), -1.0, 1.0, grid_n=8, refine_rounds=0)
+
+
+@pytest.mark.parametrize(
+    "text, error, x, value",
+    [
+        ("x", NotPositiveError, -0.25, -0.25),
+        ("x - 0.5", NotPositiveError, 0.5, 0.0),
+        ("ln(x)", DomainError, None, None),
+        ("exp(1000*x)", EvaluationError, None, None),
+    ],
+)
+def test_positivity_check_names_the_first_offender(text, error, x, value):
+    pts = np.array([[0.5, 2.0], [-0.25, -1.0]])
+    with pytest.raises(error) as err:
+        _positive_values(parse(text), pts)
+    if error is NotPositiveError:
+        assert (err.value.x, err.value.value) == (x, value)
+    assert _positive_values(parse("x + 2"), pts).shape == pts.shape
 
 
 def test_domain_error_propagates():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import hhcert.chains
+import hhcert.expr
 from hhcert.certify import NotPositiveError, estimate_modulus
 from hhcert.chains import (
     DEFAULT_TOL,
@@ -100,6 +102,31 @@ def test_dm_running_example_strictly_increases():
     assert rep.holds
     assert all(m > 0 for m in rep.margins)
     assert values(rep)[3] == pytest.approx(EXP_X2_MEAN, abs=1e-9)
+
+
+def test_dm_evaluates_f_twice_per_quadrature_node(monkeypatch):
+    counts = {"nodes": 0, "points": 0, "inside": False}
+    integrate_, evaluate_array = hhcert.chains.integrate, hhcert.expr.evaluate_array
+
+    def counting_integrate(*args, **kwargs):
+        counts["inside"] = True
+        try:
+            result = integrate_(*args, **kwargs)
+        finally:
+            counts["inside"] = False
+        counts["nodes"] += result.evaluations
+        return result
+
+    def counting_evaluate_array(f, xs):
+        values = evaluate_array(f, xs)
+        counts["points"] += values.size if counts["inside"] else 0
+        return values
+
+    monkeypatch.setattr(hhcert.chains, "integrate", counting_integrate)
+    monkeypatch.setattr(hhcert.expr, "evaluate_array", counting_evaluate_array)
+    dragomir_mond_chain(parse("(x + 0.05)^-1.5"), 0.0, 1.0)
+    assert counts["nodes"] > 15
+    assert counts["points"] == 2 * counts["nodes"]
 
 
 def test_dm_rejects_non_positive_function():

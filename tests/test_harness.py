@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hhcert import chains
+from hhcert import chains, harness
 from hhcert.harness import (
     ALL_FAMILIES,
     CHAIN_KINDS,
@@ -93,6 +93,16 @@ def test_forced_constant_reproduces_direct_chain_margin():
     assert result.min_margins[KIND_T1] == rep.min_margin
 
 
+def test_run_case_makes_one_quadrature_pass(monkeypatch):
+    calls = []
+    integrate = chains.integrate
+    monkeypatch.setattr(chains, "integrate", lambda *args: calls.append(args) or integrate(*args))
+    case = CaseSpec("custom", (), -0.5, 1.2, 0, "exp(1.3*x^2 - 0.7*x + 0.2)")
+    result = run_case(case, c=0.5)
+    assert len(calls) == 1
+    assert all(result.outcomes[kind] == "holds" for kind in (KIND_DM, KIND_T1, KIND_T2))
+
+
 def test_case_without_modulus_skips_strengthened_checks():
     result = run_case(constant_case(), c=None)
     assert result.outcomes[KIND_T1] == "not_applicable"
@@ -151,6 +161,15 @@ def test_printed_form_failures_are_kept_out_of_violations():
     report = sweep(60, ("exp_quadratic",), seed=12)
     assert all(v.kind != KIND_T2_PRINTED for v in report.violations)
     assert report.violated[KIND_T2_PRINTED] == len(report.as_printed_failures)
+
+
+def test_sweep_parses_each_case_once(monkeypatch):
+    texts = []
+    parse = harness.parse
+    monkeypatch.setattr(harness, "parse", lambda text: texts.append(text) or parse(text))
+    report = sweep(12, ALL_FAMILIES, seed=3)
+    assert report.cases_run == 12
+    assert len(texts) == 12
 
 
 def test_sweep_validates_arguments():

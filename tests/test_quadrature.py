@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from hhcert import quadrature
 from hhcert.expr import DomainError, parse
 from hhcert.quadrature import IntegrandError, QuadratureResult, integrate, mean_integral
 
@@ -180,6 +181,35 @@ def test_determinism():
     first = integrate(g, 0.0, 2.0, tol=1e-11)
     second = integrate(g, 0.0, 2.0, tol=1e-11)
     assert first == second
+
+
+def test_rows_meet_their_own_tolerances_in_one_pass():
+    tols = np.array([1e-12, 1e-6])
+    rows = integrate(lambda xs: np.array((np.exp(xs**2), np.sqrt(np.abs(xs - 0.3)))), 0.0, 1.0, tols)
+    assert rows.converged and np.all(rows.error_estimate <= tols)
+    assert rows.value.shape == (2,)
+    assert abs(rows.value[0] - exp_x2_series()) <= 1e-12
+    exact = (0.3**1.5 + 0.7**1.5) / 1.5
+    assert abs(rows.value[1] - exact) <= 1e-6
+    # one pass: every row is integrated on the nodes the hardest row needs
+    alone = integrate(lambda xs: np.sqrt(np.abs(xs - 0.3)), 0.0, 1.0, 1e-6)
+    assert rows.evaluations == alone.evaluations
+
+
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
+    g = lambda xs: np.array((np.sqrt(np.abs(np.sin(20.0 * xs))), np.cos(300.0 * xs)))
+    tols = np.array([1e-13, 1e-12])
+    widest = []
+    reference = integrate(lambda xs: widest.append(xs.size) or g(xs), 0.0, 1.0, tols, max_depth=12)
+    assert max(widest) > 15 * 64  # one level outgrows every chunk below
+    for chunk in (1, 3, 64):
+        sizes = []
+        monkeypatch.setattr(quadrature, "_CHUNK_PANELS", chunk)
+        result = integrate(lambda xs: sizes.append(xs.size) or g(xs), 0.0, 1.0, tols, max_depth=12)
+        assert max(sizes) <= 15 * chunk
+        assert result.value.tobytes() == reference.value.tobytes()
+        assert result.error_estimate.tobytes() == reference.error_estimate.tobytes()
+        assert result.evaluations == reference.evaluations
 
 
 def test_mean_integral_examples():
