@@ -24,10 +24,18 @@ than rounding noise amplified by 1/(lam*(1-lam)*(x-y)^2).
 The grid is walked in tiles of 65,536 triples, so each float64 buffer of
 the ratio kernel is 0.5 MB and the working set stays in a per-core L2
 cache; tiles split the y grid once one x-row outgrows a tile, so memory is
-flat at any grid size.  Time still grows as N^3 in the grid size N: no
-triple budget caps it yet.  An interval so narrow (or wide) that
-lam*(1-lam)*(x-y)^2 leaves (0, inf) at some admissible triple raises a
-ValueError naming the grid instead of returning a nan or infinite ratio.
+flat at any grid size.  What the tiles share is done once per grid: lam
+is clipped to (0, 1) (only the ends of a clipped refinement grid can
+leave it), f is evaluated on xs and ys in one call, and the denominators
+are bounded so that tiles can skip their exact check.  Each tile
+evaluates f once on its interior points and reads positivity off the
+finiteness of the ln f(T) the ratios need anyway; the precise error for
+the first offender is computed only on failure.  Time grows as N^3 in the
+grid size N, so a call that would sample more than TRIPLE_BUDGET triples
+is refused with a ValueError before any sampling.  An interval so narrow
+(or wide) that lam*(1-lam)*(x-y)^2 leaves (0, inf) at some admissible
+triple raises a ValueError naming the grid instead of returning a nan or
+infinite ratio.
 
 A grid infimum is evidence, not proof: the certificate carries grid_size
 and refinement_rounds so callers can judge how hard the box was searched.
@@ -38,7 +46,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +54,7 @@ from .expr import Expression
 
 __all__ = [
     "ZERO_TOLERANCE",
+    "TRIPLE_BUDGET",
     "ConvexityKind",
     "CertStatus",
     "NotPositiveError",
@@ -160,88 +169,173 @@ def _spacing(grid: np.ndarray) -> float:
     return float(grid[1] - grid[0]) if grid.size > 1 else 0.0
 
 
-def _defect_tile(
-    f: Expression,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    lams: np.ndarray,
-    lfx: np.ndarray,
-    lfy: np.ndarray,
-    spacing: float,
-    rows: slice,
-    cols: slice,
-    bufs: np.ndarray,
-) -> np.ndarray:
-    """Defect ratios over the tile xs[rows] x ys[cols] x lams; invalid triples are +inf.
+def _grid(start: float, stop: float, n: int) -> np.ndarray:
+    """``np.linspace(start, stop, n)`` bit for bit for n >= 2, without its dispatch.
 
-    Invalid means lam outside the open unit interval (clipped refinement
-    boxes may touch 0 or 1) or |x - y| below half the coarser grid spacing.
-    The latter generalizes skipping the x == y diagonal: refined x and y
-    boxes have incommensurate spacings, and an accidental near-coincidence
-    sits below the grids' own resolution, where the ratio's numerator
-    cancels to under one ulp of f and the sample carries no information.
-
-    ``lfx`` and ``lfy`` are ln f over the whole of xs and ys, and ``spacing``
-    is the coarser spacing of the whole grids.  The ratios are computed in
-    the three rows of ``bufs``, each at least a tile long; the returned
-    array is a view into the last.  Each step is the same ufunc on the
-    same operands as the defect formula written out in full, so the bits
-    do not depend on the tiling.
+    The same steps in the same order: arange times the step plus start, the
+    last point set to stop, and numpy's own branch (divide by n - 1, then
+    scale by the width) when the step underflows to 0.
     """
-    X = xs[rows, None, None]
-    Y = ys[None, cols, None]
-    LAM = lams[None, None, :]
-    MU = 1.0 - LAM
-    shape = (X.shape[0], Y.shape[1], LAM.shape[2])
+    delta = stop - start
+    step = delta / (n - 1)
+    y = np.arange(n, dtype=float)
+    if step == 0.0:
+        y /= n - 1
+        y *= delta
+    else:
+        y *= step
+    y += start
+    y[-1] = stop
+    return y
+
+
+def _check_logs(f: Expression, logs: np.ndarray, *point_sets: np.ndarray) -> None:
+    """Raise for the first offender unless every entry of ``logs`` is finite.
+
+    ``logs`` is ln f over ``point_sets`` in order.  Their sum is finite exactly
+    when f is finite and positive at every point (|ln v| < 745 for every
+    positive double, so the sum cannot overflow), so the path that succeeds
+    costs one reduction; on failure ``_positive_values`` evaluates the sets in
+    order and raises its error for the first offender.
+    """
+    if math.isfinite(logs.sum()):
+        return
+    for pts in point_sets:
+        _positive_values(f, pts)
+    raise NotPositiveError("ln f is not finite on the grid")  # pragma: no cover
+
+
+def _denominators_ok(sq: np.ndarray, lam_mu: np.ndarray) -> bool:
+    """Whether every product of an ``sq`` and a ``lam_mu`` lies in (0, inf).
+
+    fl(a*b) is monotone in each positive factor, so the extremes bound every
+    product exactly.
+    """
+    if not (sq.size and lam_mu.size):
+        return True
+    return bool(sq.min() * lam_mu.min() > 0.0 and sq.max() * lam_mu.max() < np.inf)
+
+
+class _GridPass(NamedTuple):
+    """What every tile of the grid xs x ys x lams shares, computed once per grid."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    n_lams: int  # size of the lam grid before clipping
+    inner: Union[slice, np.ndarray]  # the lam in (0, 1): a mask, or slice(None) for all
+    lams: np.ndarray  # lams[inner]
+    mu: np.ndarray  # 1 - lam
+    lam_mu: np.ndarray  # lam * (1 - lam)
+    lfx: np.ndarray  # ln f over xs
+    lfy: np.ndarray  # ln f over ys
+    threshold: float  # pairs with |x - y| at or below it are skipped
+    denominators_ok: bool  # every admissible denominator is known to lie in (0, inf)
+
+
+def _grid_pass(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> _GridPass:
+    """Keep the admissible lam, evaluate f on xs and ys, and bound the denominators.
+
+    Only the ends of a clipped refinement grid can leave (0, 1), and their
+    triples are inadmissible, so they are dropped here once instead of being
+    computed and masked in every tile.  f is evaluated on xs and ys in one
+    call (on xs alone when ys is xs).  Callers ignore floating-point errors.
+    """
+    n_lams = lams.size
+    mu = 1.0 - lams
+    lam_mu = lams * mu
+    # lam*(1-lam) > 0 exactly when 0 < lam < 1: inside, 1-lam is at least
+    # 2**-53, and it rounds to 1 wherever lam is small enough to underflow
+    lam_mu_min = lam_mu.min(initial=np.inf)
+    inner = slice(None)
+    if not lam_mu_min > 0.0:
+        inner = lam_mu > 0.0
+        lams, mu, lam_mu = lams[inner], mu[inner], lam_mu[inner]
+        lam_mu_min = lam_mu.min(initial=np.inf)
+    if ys is xs:
+        pts, point_sets = xs, (xs,)
+    else:
+        pts, point_sets = np.concatenate((xs, ys)), (xs, ys)
+    lf = np.log(f.eval_array(pts))
+    _check_logs(f, lf, *point_sets)
+    threshold = 0.49 * max(_spacing(xs), _spacing(ys))
+    # sufficient for every tile's exact check: an admissible (x - y)^2 is at
+    # least threshold^2, |x - y| <= 2 max|x|, |y| < 1e154 keeps it finite, and
+    # lam*(1-lam) lies in (0, 1/4]
+    denominators_ok = bool(threshold * threshold * lam_mu_min > 0.0 and np.abs(pts).max() < 5e153)
+    return _GridPass(
+        xs, ys, n_lams, inner, lams, mu, lam_mu, lf[: xs.size], lf[pts.size - ys.size :],
+        threshold, denominators_ok,
+    )
+
+
+def _defect_tile(f: Expression, g: _GridPass, rows: slice, cols: slice, bufs: np.ndarray) -> np.ndarray:
+    """Defect ratios over the tile xs[rows] x ys[cols] x lams; skipped pairs are +inf.
+
+    ``g`` holds the grid's admissible lam only.  A pair is skipped when
+    |x - y| is below half the coarser grid spacing.  That generalizes
+    skipping the x == y diagonal: refined x and y boxes have incommensurate
+    spacings, and an accidental near-coincidence sits below the grids' own
+    resolution, where the ratio's numerator cancels to under one ulp of f and
+    the sample carries no information.
+
+    f is evaluated once on the tile's interior points, and its positivity is
+    read off the finiteness of the ln f(T) the ratios need anyway.  The
+    ratios are computed in the three rows of ``bufs``, each at least a tile
+    long; the returned array is a view into the last.  Each step is the same
+    ufunc on the same operands as the defect formula written out in full, so
+    the bits do not depend on the tiling.  Callers ignore floating-point
+    errors.
+    """
+    X = g.xs[rows, None, None]
+    Y = g.ys[None, cols, None]
+    shape = (X.shape[0], Y.shape[1], g.lams.size)
     t, work, defect = bufs[:, : math.prod(shape)].reshape(3, *shape)
-    np.add(LAM * X, MU * Y, out=t)
-    fT = _positive_values(f, t)  # may be t itself (f = x), so t is not reused below
+    np.add(g.lams * X, g.mu * Y, out=t)
+    fT = f.eval_array(t)  # may be t itself (f = x), so t is not reused below
+    np.log(fT, out=work)
+    _check_logs(f, work, t)
     diff = X - Y
-    pair_ok = np.abs(diff) > 0.49 * spacing
-    lam_ok = (LAM > 0.0) & (LAM < 1.0)
+    pair_ok = np.abs(diff) > g.threshold
     sq = diff**2
-    lam_mu = LAM * MU
-    sq_ok, lam_mu_ok = sq[pair_ok], lam_mu[lam_ok]
-    if sq_ok.size and lam_mu_ok.size:
-        # fl(a*b) is monotone in each positive factor, so these bound every
-        # admissible denominator exactly
-        if not (sq_ok.min() * lam_mu_ok.min() > 0.0 and sq_ok.max() * lam_mu_ok.max() < np.inf):
-            raise ValueError(
-                "the defect ratio's denominator lam*(1-lam)*(x-y)^2 leaves (0, inf) on the "
-                f"{xs.size}x{ys.size}x{lams.size} grid over x in [{float(xs[0])!r}, "
-                f"{float(xs[-1])!r}], y in [{float(ys[0])!r}, {float(ys[-1])!r}]: the "
-                "interval is too narrow or too wide for this grid"
-            )
-    with np.errstate(all="ignore"):
-        np.log(fT, out=work)
-        np.subtract(lfx[rows, None, None], work, out=defect)
-        defect *= LAM
-        np.subtract(lfy[None, cols, None], work, out=work)
-        work *= MU
-        defect += work
-        np.expm1(defect, out=defect)
-        defect *= fT
-        np.multiply(lam_mu, sq, out=work)
-        defect /= work
-    np.copyto(defect, np.inf, where=~pair_ok)
-    np.copyto(defect, np.inf, where=~lam_ok)
+    # a grid whose bounds hold needs no check per tile; otherwise each tile is
+    # checked after its positivity, in walk order
+    if not (g.denominators_ok or _denominators_ok(sq[pair_ok], g.lam_mu)):
+        raise ValueError(
+            "the defect ratio's denominator lam*(1-lam)*(x-y)^2 leaves (0, inf) on the "
+            f"{g.xs.size}x{g.ys.size}x{g.n_lams} grid over x in [{float(g.xs[0])!r}, "
+            f"{float(g.xs[-1])!r}], y in [{float(g.ys[0])!r}, {float(g.ys[-1])!r}]: the "
+            "interval is too narrow or too wide for this grid"
+        )
+    np.subtract(g.lfx[rows, None, None], work, out=defect)
+    defect *= g.lams
+    np.subtract(g.lfy[None, cols, None], work, out=work)
+    work *= g.mu
+    defect += work
+    np.expm1(defect, out=defect)
+    defect *= fT
+    np.multiply(g.lam_mu, sq, out=work)
+    defect /= work
+    if not pair_ok.all():
+        np.copyto(defect, np.inf, where=~pair_ok)
     return defect
 
 
 def _defect_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Defect ratios over the whole grid xs x ys x lams as one tile."""
-    lfx = np.log(_positive_values(f, xs))
-    lfy = np.log(_positive_values(f, ys))
-    spacing = max(_spacing(xs), _spacing(ys))
-    bufs = np.empty((3, xs.size * ys.size * lams.size))
-    return _defect_tile(f, xs, ys, lams, lfx, lfy, spacing, slice(None), slice(None), bufs)
+    """Defect ratios over the whole grid xs x ys x lams as one tile; invalid triples are +inf."""
+    defects = np.full((xs.size, ys.size, lams.size), np.inf)
+    with np.errstate(all="ignore"):
+        g = _grid_pass(f, xs, ys, lams)
+        bufs = np.empty((3, xs.size * ys.size * g.lams.size))
+        defects[:, :, g.inner] = _defect_tile(f, g, slice(None), slice(None), bufs)
+    return defects
 
 
 def _grid_min(defects: np.ndarray, xs, ys, lams) -> tuple:
     # Flat C-order argmin returns the first minimum, i.e. the smallest
     # (x, y, lam) lexicographically over the ascending grids.
-    flat = int(np.argmin(defects))
-    i, j, k = np.unravel_index(flat, defects.shape)
+    _, n_y, n_lam = defects.shape
+    i, rest = divmod(int(defects.argmin()), n_y * n_lam)
+    j, k = divmod(rest, n_lam)
     return float(defects[i, j, k]), (float(xs[i]), float(ys[j]), float(lams[k]))
 
 
@@ -251,33 +345,45 @@ def _grid_min(defects: np.ndarray, xs, ys, lams) -> tuple:
 # triples streamed 16 MB temporaries through memory.  A tile is a block of
 # whole x-rows or, once one x-row alone holds more than a tile (grids past
 # 256 points), a block of y-columns within one x-row, so memory stays flat
-# at any grid size.  Time still grows as N^3: no triple budget caps the grid.
+# at any grid size.
 _TILE_TRIPLES = 65_536
+
+# Most (x, y, lam) triples one estimate_modulus or check_modulus call may
+# sample: about 5 s at 21 ns a triple, 256 times a default grid-64 run.
+TRIPLE_BUDGET = 2**28
+
+
+def _check_budget(grid_n: int, grids: int) -> None:
+    triples = grid_n**3 * grids
+    if triples > TRIPLE_BUDGET:
+        raise ValueError(
+            f"{grids} grid(s) of {grid_n}^3 (x, y, lam) triples ask for {triples} triples, "
+            f"above the certifier's budget of {TRIPLE_BUDGET} triples"
+        )
 
 
 def _min_over_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> tuple:
     """Smallest defect ratio over xs x ys x lams and the (x, y, lam) attaining it.
 
-    f is evaluated once on xs and ys (once in total when ys is xs) and once
-    per tile on the interior points.  Tiles are visited in (x, y) order and
-    the strict < keeps the earliest tile on ties, so the result is bitwise
-    the one full-grid ``_grid_min`` would report.
+    Tiles are visited in (x, y) order and the strict < keeps the earliest
+    tile on ties, so the result is bitwise the one full-grid ``_grid_min``
+    would report.
     """
-    lfx = np.log(_positive_values(f, xs))
-    lfy = lfx if ys is xs else np.log(_positive_values(f, ys))
-    spacing = max(_spacing(xs), _spacing(ys))
-    per_row = ys.size * lams.size
-    rows = min(xs.size, max(1, _TILE_TRIPLES // per_row))
-    cols = ys.size if per_row <= _TILE_TRIPLES else max(1, _TILE_TRIPLES // lams.size)
-    bufs = np.empty((3, rows * cols * lams.size))
-    best, witness = np.inf, None
-    for i in range(0, xs.size, rows):
-        for j in range(0, ys.size, cols):
-            tile_rows, tile_cols = slice(i, i + rows), slice(j, j + cols)
-            defects = _defect_tile(f, xs, ys, lams, lfx, lfy, spacing, tile_rows, tile_cols, bufs)
-            value, candidate = _grid_min(defects, xs[tile_rows], ys[tile_cols], lams)
-            if witness is None or value < best:
-                best, witness = value, candidate
+    with np.errstate(all="ignore"):
+        g = _grid_pass(f, xs, ys, lams)
+        n_lam = g.lams.size
+        per_row = ys.size * n_lam
+        rows = min(xs.size, max(1, _TILE_TRIPLES // per_row))
+        cols = ys.size if per_row <= _TILE_TRIPLES else max(1, _TILE_TRIPLES // n_lam)
+        bufs = np.empty((3, rows * cols * n_lam))
+        best, witness = np.inf, None
+        for i in range(0, xs.size, rows):
+            for j in range(0, ys.size, cols):
+                tile_rows, tile_cols = slice(i, i + rows), slice(j, j + cols)
+                defects = _defect_tile(f, g, tile_rows, tile_cols, bufs)
+                value, candidate = _grid_min(defects, xs[tile_rows], ys[tile_cols], g.lams)
+                if witness is None or value < best:
+                    best, witness = value, candidate
     return best, witness
 
 
@@ -295,6 +401,8 @@ def estimate_modulus(
     local search in boxes centered on the running witness, each box half
     the width of the previous one (clipped to the domain).  c_star is the
     running minimum over everything sampled, so extra rounds never raise it.
+    Raises ValueError when the grid_n^3 * (refine_rounds + 1) triples exceed
+    TRIPLE_BUDGET.
     """
     a = float(a)
     b = float(b)
@@ -305,7 +413,9 @@ def estimate_modulus(
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be nonnegative, got {refine_rounds}")
 
-    xs = np.linspace(a, b, grid_n)
+    _check_budget(grid_n, refine_rounds + 1)
+
+    xs = _grid(a, b, grid_n)
     lams = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
     best, witness = _min_over_grid(f, xs, xs, lams)
 
@@ -313,9 +423,9 @@ def estimate_modulus(
         wx, wy, wl = witness
         half_x = (b - a) * 0.5 ** (round_index + 1)
         half_l = 0.5 ** (round_index + 1)
-        xs_r = np.linspace(max(a, wx - half_x), min(b, wx + half_x), grid_n)
-        ys_r = np.linspace(max(a, wy - half_x), min(b, wy + half_x), grid_n)
-        lams_r = np.linspace(max(0.0, wl - half_l), min(1.0, wl + half_l), grid_n)
+        xs_r = _grid(max(a, wx - half_x), min(b, wx + half_x), grid_n)
+        ys_r = _grid(max(a, wy - half_x), min(b, wy + half_x), grid_n)
+        lams_r = _grid(max(0.0, wl - half_l), min(1.0, wl + half_l), grid_n)
         value, candidate = _min_over_grid(f, xs_r, ys_r, lams_r)
         if value < best:
             best, witness = value, candidate
@@ -345,7 +455,8 @@ def check_modulus(
     """Check whether every sampled defect ratio is at least c (minus 1e-12).
 
     Returns the worst sampled triple either way; ok=False means that triple
-    witnesses a violation of the claimed modulus.
+    witnesses a violation of the claimed modulus.  Raises ValueError when the
+    grid_n^3 triples exceed TRIPLE_BUDGET.
     """
     a = float(a)
     b = float(b)
@@ -356,7 +467,8 @@ def check_modulus(
         raise ValueError(f"modulus must be positive, got {c!r}")
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
-    xs = np.linspace(a, b, grid_n)
+    _check_budget(grid_n, 1)
+    xs = _grid(a, b, grid_n)
     lams = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
     worst, witness = _min_over_grid(f, xs, xs, lams)
     return ModulusCheck(ok=bool(worst >= c - 1e-12), witness=witness, defect=worst)

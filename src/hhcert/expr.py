@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -111,6 +112,12 @@ class Expression:
 
     def __str__(self) -> str:
         return serialize(self)
+
+    @cached_property
+    def _canonical_text(self) -> str:
+        # cached_property writes the instance dict directly, so the frozen
+        # expression still compares and hashes by its tree alone
+        return _text(self.root)
 
 
 # --------------------------------------------------------------------------
@@ -393,5 +400,8 @@ def _text(node: Node) -> str:
 
 
 def serialize(f: Expression) -> str:
-    """Emit canonical fully parenthesized text; ``parse`` inverts it exactly."""
-    return _text(f.root)
+    """Emit canonical fully parenthesized text; ``parse`` inverts it exactly.
+
+    The text is built once per expression and cached on it.
+    """
+    return f._canonical_text

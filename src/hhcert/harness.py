@@ -141,10 +141,9 @@ def _draw_interval(rng: np.random.Generator) -> Tuple[float, float]:
 
 
 def _positive_on_sample(f: Expression, a: float, b: float) -> bool:
-    try:
-        vals = f.eval_array(np.linspace(a, b, 33))
-    except Exception:
-        return False
+    # eval_array reports domain problems as nan/inf, so anything it raises is
+    # a fault and propagates instead of triggering a redraw forever
+    vals = f.eval_array(np.linspace(a, b, 33))
     return bool(np.all(np.isfinite(vals)) and np.all(vals > 0.0))
 
 

@@ -11,6 +11,9 @@ from hhcert.certify import (
     estimate_modulus,
     log_defect,
     _defect_grid,
+    _grid,
+    _grid_min,
+    _min_over_grid,
     _positive_values,
 )
 from hhcert.expr import DomainError, EvaluationError, parse
@@ -170,6 +173,120 @@ def test_chunked_grid_walk_matches_single_pass(monkeypatch, f, tile):
     assert certify_module._min_over_grid(f, xs, xs, lams) == reference
     assert estimate_modulus(f, 0.0, 1.0, grid_n=48, refine_rounds=2) == cert
     assert check_modulus(f, 0.0, 1.0, 0.5, grid_n=48) == check
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_grid_helper_is_linspace_bit_for_bit():
+    rng = np.random.default_rng(31)
+    boxes = [tuple(sorted(rng.uniform(-2.0, 2.0, size=2))) for _ in range(200)]
+    # refinement boxes clipped to the domain or to [0, 1], and tiny ones
+    boxes += [(0.0, 0.3), (0.7, 1.0), (0.0, 1.0), (-1.0, -0.9999999999999999)]
+    boxes += [(0.0, 1e-160), (1e-300, 2e-300), (0.5, 0.5)]
+    # steps that underflow to 0 take numpy's divide-then-scale branch
+    boxes += [(0.0, 1.5e-323), (5e-324, 1e-323), (-1e-323, 1e-323)]
+    for start, stop in boxes:
+        for n in (3, 16, 17, 64, 300):
+            assert np.array_equal(
+                _bits(_grid(start, stop, n)), _bits(np.linspace(start, stop, n))
+            ), (start, stop, n)
+
+
+def _tiled_defects(monkeypatch, f, xs, ys, lams, tile):
+    """Run the walk and stitch its tiles back into one array over the admissible lam."""
+    import hhcert.certify as certify_module
+
+    inner = (lams > 0.0) & (lams < 1.0)
+    stitched = np.full((xs.size, ys.size, int(inner.sum())), np.nan)
+    kernel = certify_module._defect_tile
+
+    def recording_kernel(f, g, rows, cols, bufs):
+        defects = kernel(f, g, rows, cols, bufs)
+        stitched[rows, cols] = defects
+        return defects
+
+    monkeypatch.setattr(certify_module, "_TILE_TRIPLES", tile)
+    monkeypatch.setattr(certify_module, "_defect_tile", recording_kernel)
+    result = _min_over_grid(f, xs, ys, lams)
+    monkeypatch.undo()
+    return result, stitched, inner
+
+
+@pytest.mark.parametrize("tile", [65_536, 2_000, 100], ids=["one_tile", "x_rows", "y_columns"])
+@pytest.mark.parametrize("f", [EXP_X2, ONE, POWER], ids=["exp_x2", "one", "power"])
+@pytest.mark.parametrize(
+    "box",
+    [
+        # a refinement box whose lam grid touches both 0 and 1
+        ((0.1, 0.6), (0.35, 0.9), (0.0, 1.0)),
+        # lam clipped at one end only; x and y boxes overlap with
+        # incommensurate spacings, so near-coincident pairs are skipped
+        ((0.0, 0.5), (0.2, 0.45), (0.0, 0.3)),
+        ((0.3, 0.7), (0.3, 0.7), (0.6, 1.0)),
+    ],
+    ids=["lam_0_and_1", "lam_0", "lam_1"],
+)
+def test_lam_clipped_walk_matches_the_full_grid_bit_for_bit(monkeypatch, f, tile, box):
+    # the walk drops lam = 0 and 1 once per grid instead of masking them in
+    # every tile; every admissible ratio, the minimum and its witness must be
+    # those of the full-grid reference, whose dropped columns are all +inf
+    (x0, x1), (y0, y1), (l0, l1) = box
+    xs, ys, lams = _grid(x0, x1, 17), _grid(y0, y1, 16), _grid(l0, l1, 16)
+    reference = _defect_grid(f, xs, ys, lams)
+    result, stitched, inner = _tiled_defects(monkeypatch, f, xs, ys, lams, tile)
+    assert not inner.all()
+    assert np.all(reference[:, :, ~inner] == np.inf)
+    assert np.array_equal(_bits(stitched), _bits(reference[:, :, inner]))
+    assert np.isinf(stitched).any()  # some pairs are skipped in every box
+    assert result == _grid_min(reference, xs, ys, lams)
+
+
+def test_one_evaluator_call_per_grid_and_per_tile(monkeypatch):
+    # grid 16 is one tile per round: f on xs, then f on each tile's interior
+    # points for the first grid; f on xs and ys together, then on the tile,
+    # for each of the three refinement rounds
+    import hhcert.expr
+
+    evaluate_array = hhcert.expr.evaluate_array
+    calls = []
+
+    def counting(f, xs):
+        calls.append(np.size(xs))
+        return evaluate_array(f, xs)
+
+    monkeypatch.setattr(hhcert.expr, "evaluate_array", counting)
+    estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=16, refine_rounds=3)
+    assert len(calls) == 8
+    assert calls[0] == 16 and calls[2::2] == [32, 32, 32]  # xs and ys together
+
+
+def test_the_triple_budget_is_checked_before_sampling(monkeypatch):
+    # grid_n^3 triples per grid, refine_rounds + 1 grids: 128^3 * 128 is
+    # exactly 2**28 and allowed; one more round, or one more grid point for
+    # check_modulus's single grid (646^3 > 2**28 >= 645^3), is refused
+    import hhcert.expr
+
+    class Sampled(Exception):
+        pass
+
+    def sampled(f, xs):
+        raise Sampled
+
+    monkeypatch.setattr(hhcert.expr, "evaluate_array", sampled)
+    with pytest.raises(Sampled):
+        estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=128, refine_rounds=127)
+    with pytest.raises(Sampled):
+        check_modulus(EXP_X2, 0.0, 1.0, 0.5, grid_n=645)
+    for run, triples in [
+        (lambda: estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=128, refine_rounds=128), 128**3 * 129),
+        (lambda: check_modulus(EXP_X2, 0.0, 1.0, 0.5, grid_n=646), 646**3),
+        (lambda: estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=2000), 2000**3 * 4),
+    ]:
+        with pytest.raises(ValueError, match="budget") as err:
+            run()
+        assert f"{triples} triples" in str(err.value) and f"{2**28}" in str(err.value)
 
 
 def test_tiles_stay_small_at_any_grid_size(monkeypatch):

@@ -367,6 +367,23 @@ def test_maxc_does_not_run_the_certifier(monkeypatch):
     assert max_feasible_c(EXP_X2, 0.0, 1.0) == expected
 
 
+def test_maxc_serializes_f_at_most_once(monkeypatch):
+    # max_feasible_c builds two to eight reports only to read their verdicts;
+    # each carries f's canonical text, which is built once per expression
+    f = parse("exp(0.5*x^2 + 0.25*x)")
+    text = hhcert.expr._text
+    serializations = []
+
+    def counting_text(node):
+        if node is f.root:
+            serializations.append(node)
+        return text(node)
+
+    monkeypatch.setattr(hhcert.expr, "_text", counting_text)
+    max_feasible_c(f, 0.0, 1.0)
+    assert len(serializations) <= 1
+
+
 def test_maxc_rejects_a_tolerance_that_bounds_nothing():
     # at tol >= 1 the verdict tolerance can grow as fast as the margins fall
     with pytest.raises(ValueError, match="tol"):

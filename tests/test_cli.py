@@ -61,6 +61,22 @@ def test_certify_on_an_underflowing_interval_exits_two(capsys, extra):
     assert err.startswith("error:") and "too narrow" in err
 
 
+def test_certify_beyond_the_triple_budget_exits_two(capsys, monkeypatch):
+    # 2000^3 triples in each of 4 grids: refused before f is sampled at all
+    import hhcert.expr
+
+    def unreachable(f, xs):
+        raise AssertionError("f was sampled before the budget check")
+
+    monkeypatch.setattr(hhcert.expr, "evaluate_array", unreachable)
+    code, out, err = run(capsys, "certify", "--f", "exp(x^2)", "--a", "0", "--b", "1",
+                         "--grid", "2000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "32000000000 triples" in err and str(2**28) in err
+
+
 def test_usage_error_exits_two(capsys):
     assert main(["chain", "--f", "x"]) == 2  # missing required flags
 

@@ -229,6 +229,14 @@ def test_round_trip_of_plain_sources():
         assert parse(serialize(once)).root == once.root
 
 
+def test_cached_text_leaves_equality_and_hashing_alone():
+    f, g = parse("exp(x^2) + 1"), parse("exp(x^2) + 1")
+    assert str(f) == "(exp((x ^ 2.0)) + 1.0)"
+    assert str(f) is str(f)  # built once, then read from the cache
+    assert f == g and hash(f) == hash(g)
+    assert serialize(g) == str(f)
+
+
 def test_subtraction_of_a_negated_factor():
     # x - -1 parses as x minus (-1)
     assert evaluate(parse("x - -1"), 2.0) == 3.0

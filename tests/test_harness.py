@@ -34,6 +34,29 @@ def constant_case() -> CaseSpec:
 # case generation
 # --------------------------------------------------------------------------
 
+def test_an_evaluator_fault_in_case_generation_is_raised_not_redrawn(monkeypatch):
+    # eval_array reports domain problems as nan/inf and does not raise for
+    # them, so an exception is a fault: it must leave generate_case instead
+    # of sending the rejection loop into another draw, forever if it repeats
+    import hhcert.expr
+
+    class Redrawn(BaseException):
+        pass
+
+    calls = []
+
+    def faulty_evaluator(f, xs):
+        calls.append(f)
+        if len(calls) == 1:
+            raise RuntimeError("evaluator fault")
+        raise Redrawn
+
+    monkeypatch.setattr(hhcert.expr, "evaluate_array", faulty_evaluator)
+    with pytest.raises(RuntimeError, match="evaluator fault"):
+        generate_case("exp_quadratic", np.random.default_rng(1))
+    assert len(calls) == 1
+
+
 def test_degenerate_log_affine_draw_is_constant_one():
     f = constant_case().expression()
     assert f(0.3) == 1.0 and f(0.9) == 1.0
