@@ -26,8 +26,7 @@ the ratio kernel is 0.5 MB and the working set stays in a per-core L2
 cache; tiles split the y grid once one x-row outgrows a tile, so memory is
 flat at any grid size.  What the tiles share is done once per grid: lam
 is clipped to (0, 1) (only the ends of a clipped refinement grid can
-leave it), f is evaluated on xs and ys in one call, and the denominators
-are bounded so that tiles can skip their exact check.  Each tile
+leave it), and f is evaluated on xs and ys in one call.  Each tile
 evaluates f once on its interior points and reads positivity off the
 finiteness of the ln f(T) the ratios need anyway; the precise error for
 the first offender is computed only on failure.  Time grows as N^3 in the
@@ -46,7 +45,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -189,31 +188,24 @@ def _grid(start: float, stop: float, n: int) -> np.ndarray:
     return y
 
 
-def _check_logs(f: Expression, logs: np.ndarray, *point_sets: np.ndarray) -> None:
-    """Raise for the first offender unless every entry of ``logs`` is finite.
-
-    ``logs`` is ln f over ``point_sets`` in order.  Their sum is finite exactly
-    when f is finite and positive at every point (|ln v| < 745 for every
-    positive double, so the sum cannot overflow), so the path that succeeds
-    costs one reduction; on failure ``_positive_values`` evaluates the sets in
-    order and raises its error for the first offender.
-    """
-    if math.isfinite(logs.sum()):
-        return
-    for pts in point_sets:
-        _positive_values(f, pts)
-    raise NotPositiveError("ln f is not finite on the grid")  # pragma: no cover
-
-
-def _denominators_ok(sq: np.ndarray, lam_mu: np.ndarray) -> bool:
-    """Whether every product of an ``sq`` and a ``lam_mu`` lies in (0, inf).
+def _check_denominators(
+    sq: np.ndarray, lam_mu: np.ndarray, xs: np.ndarray, ys: np.ndarray, n_lams: int
+) -> None:
+    """Raise unless every product of an ``sq`` and a ``lam_mu`` lies in (0, inf).
 
     fl(a*b) is monotone in each positive factor, so the extremes bound every
-    product exactly.
+    product exactly.  The error names the whole xs x ys x (n_lams lam) grid.
     """
     if not (sq.size and lam_mu.size):
-        return True
-    return bool(sq.min() * lam_mu.min() > 0.0 and sq.max() * lam_mu.max() < np.inf)
+        return
+    if sq.min() * lam_mu.min() > 0.0 and sq.max() * lam_mu.max() < np.inf:
+        return
+    raise ValueError(
+        "the defect ratio's denominator lam*(1-lam)*(x-y)^2 leaves (0, inf) on the "
+        f"{xs.size}x{ys.size}x{n_lams} grid over x in [{float(xs[0])!r}, "
+        f"{float(xs[-1])!r}], y in [{float(ys[0])!r}, {float(ys[-1])!r}]: the "
+        "interval is too narrow or too wide for this grid"
+    )
 
 
 class _GridPass(NamedTuple):
@@ -221,19 +213,17 @@ class _GridPass(NamedTuple):
 
     xs: np.ndarray
     ys: np.ndarray
-    n_lams: int  # size of the lam grid before clipping
-    inner: Union[slice, np.ndarray]  # the lam in (0, 1): a mask, or slice(None) for all
-    lams: np.ndarray  # lams[inner]
+    n_lams: int  # size of the lam grid before clipping, which errors name
+    lams: np.ndarray  # the lam in (0, 1)
     mu: np.ndarray  # 1 - lam
     lam_mu: np.ndarray  # lam * (1 - lam)
     lfx: np.ndarray  # ln f over xs
     lfy: np.ndarray  # ln f over ys
     threshold: float  # pairs with |x - y| at or below it are skipped
-    denominators_ok: bool  # every admissible denominator is known to lie in (0, inf)
 
 
 def _grid_pass(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> _GridPass:
-    """Keep the admissible lam, evaluate f on xs and ys, and bound the denominators.
+    """Keep the admissible lam and evaluate f on xs and ys.
 
     Only the ends of a clipped refinement grid can leave (0, 1), and their
     triples are inadmissible, so they are dropped here once instead of being
@@ -245,27 +235,20 @@ def _grid_pass(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) 
     lam_mu = lams * mu
     # lam*(1-lam) > 0 exactly when 0 < lam < 1: inside, 1-lam is at least
     # 2**-53, and it rounds to 1 wherever lam is small enough to underflow
-    lam_mu_min = lam_mu.min(initial=np.inf)
-    inner = slice(None)
-    if not lam_mu_min > 0.0:
+    if not lam_mu.min(initial=np.inf) > 0.0:
         inner = lam_mu > 0.0
         lams, mu, lam_mu = lams[inner], mu[inner], lam_mu[inner]
-        lam_mu_min = lam_mu.min(initial=np.inf)
-    if ys is xs:
-        pts, point_sets = xs, (xs,)
-    else:
-        pts, point_sets = np.concatenate((xs, ys)), (xs, ys)
+    pts = xs if ys is xs else np.concatenate((xs, ys))
     lf = np.log(f.eval_array(pts))
-    _check_logs(f, lf, *point_sets)
+    # |ln v| < 745 for every positive double, so the sum is finite exactly
+    # when f is finite and positive at every point; only a failure pays for
+    # locating the first offender
+    if not math.isfinite(lf.sum()):
+        _positive_values(f, xs)
+        _positive_values(f, ys)
     threshold = 0.49 * max(_spacing(xs), _spacing(ys))
-    # sufficient for every tile's exact check: an admissible (x - y)^2 is at
-    # least threshold^2, |x - y| <= 2 max|x|, |y| < 1e154 keeps it finite, and
-    # lam*(1-lam) lies in (0, 1/4]
-    denominators_ok = bool(threshold * threshold * lam_mu_min > 0.0 and np.abs(pts).max() < 5e153)
-    return _GridPass(
-        xs, ys, n_lams, inner, lams, mu, lam_mu, lf[: xs.size], lf[pts.size - ys.size :],
-        threshold, denominators_ok,
-    )
+    lfx, lfy = lf[: xs.size], lf[pts.size - ys.size :]
+    return _GridPass(xs, ys, n_lams, lams, mu, lam_mu, lfx, lfy, threshold)
 
 
 def _defect_tile(f: Expression, g: _GridPass, rows: slice, cols: slice, bufs: np.ndarray) -> np.ndarray:
@@ -293,19 +276,12 @@ def _defect_tile(f: Expression, g: _GridPass, rows: slice, cols: slice, bufs: np
     np.add(g.lams * X, g.mu * Y, out=t)
     fT = f.eval_array(t)  # may be t itself (f = x), so t is not reused below
     np.log(fT, out=work)
-    _check_logs(f, work, t)
+    if not math.isfinite(work.sum()):  # as in _grid_pass
+        _positive_values(f, t)
     diff = X - Y
     pair_ok = np.abs(diff) > g.threshold
     sq = diff**2
-    # a grid whose bounds hold needs no check per tile; otherwise each tile is
-    # checked after its positivity, in walk order
-    if not (g.denominators_ok or _denominators_ok(sq[pair_ok], g.lam_mu)):
-        raise ValueError(
-            "the defect ratio's denominator lam*(1-lam)*(x-y)^2 leaves (0, inf) on the "
-            f"{g.xs.size}x{g.ys.size}x{g.n_lams} grid over x in [{float(g.xs[0])!r}, "
-            f"{float(g.xs[-1])!r}], y in [{float(g.ys[0])!r}, {float(g.ys[-1])!r}]: the "
-            "interval is too narrow or too wide for this grid"
-        )
+    _check_denominators(sq[pair_ok], g.lam_mu, g.xs, g.ys, g.n_lams)
     np.subtract(g.lfx[rows, None, None], work, out=defect)
     defect *= g.lams
     np.subtract(g.lfy[None, cols, None], work, out=work)
@@ -321,13 +297,44 @@ def _defect_tile(f: Expression, g: _GridPass, rows: slice, cols: slice, bufs: np
 
 
 def _defect_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Defect ratios over the whole grid xs x ys x lams as one tile; invalid triples are +inf."""
-    defects = np.full((xs.size, ys.size, lams.size), np.inf)
+    """Defect ratios over the whole grid xs x ys x lams in one pass; invalid triples are +inf.
+
+    The reference the tiled walk is tested against.  Invalid means lam
+    outside the open unit interval or a pair skipped as in ``_defect_tile``.
+    Every lam is computed, 0 and 1 included, and the invalid triples are
+    masked afterwards; f is checked with ``_positive_values`` on each point
+    set, so no clipping or positivity shortcut of the walk is shared.
+    """
+    lfx = np.log(_positive_values(f, xs))
+    lfy = np.log(_positive_values(f, ys))
+    spacing = max(_spacing(xs), _spacing(ys))
+    X = xs[:, None, None]
+    Y = ys[None, :, None]
+    LAM = lams[None, None, :]
+    MU = 1.0 - LAM
+    t, work, defect = np.empty((3, xs.size, ys.size, lams.size))
+    np.add(LAM * X, MU * Y, out=t)
+    fT = _positive_values(f, t)  # may be t itself (f = x), so t is not reused below
+    diff = X - Y
+    pair_ok = np.abs(diff) > 0.49 * spacing
+    lam_ok = (LAM > 0.0) & (LAM < 1.0)
+    sq = diff**2
+    lam_mu = LAM * MU
+    _check_denominators(sq[pair_ok], lam_mu[lam_ok], xs, ys, lams.size)
     with np.errstate(all="ignore"):
-        g = _grid_pass(f, xs, ys, lams)
-        bufs = np.empty((3, xs.size * ys.size * g.lams.size))
-        defects[:, :, g.inner] = _defect_tile(f, g, slice(None), slice(None), bufs)
-    return defects
+        np.log(fT, out=work)
+        np.subtract(lfx[:, None, None], work, out=defect)
+        defect *= LAM
+        np.subtract(lfy[None, :, None], work, out=work)
+        work *= MU
+        defect += work
+        np.expm1(defect, out=defect)
+        defect *= fT
+        np.multiply(lam_mu, sq, out=work)
+        defect /= work
+    np.copyto(defect, np.inf, where=~pair_ok)
+    np.copyto(defect, np.inf, where=~lam_ok)
+    return defect
 
 
 def _grid_min(defects: np.ndarray, xs, ys, lams) -> tuple:

@@ -404,6 +404,28 @@ def test_positivity_check_names_the_first_offender(text, error, x, value):
     assert _positive_values(parse("x + 2"), pts).shape == pts.shape
 
 
+@pytest.mark.parametrize(
+    "text, a, b, grid_n",
+    [("0.9 - x", 0.0, 1.0, 8), ("x^2 - 0.01", -1.0, 1.0, 4)],
+    ids=["on_the_grid", "between_grid_points"],
+)
+def test_the_log_pass_names_the_first_non_positive_point(text, a, b, grid_n):
+    # positivity is read off the finiteness of the ln f sums; a failure must
+    # still name the first offender, on xs first and then on the interior
+    # points in (x, y, lam) order: f = 0.9 - x fails at x = 1 on the grid
+    # (and at interior points too), x^2 - 0.01 only between grid points
+    f = parse(text)
+    xs = np.linspace(a, b, grid_n)
+    lams = np.arange(1, grid_n + 1) / (grid_n + 1)
+    interior = lams * xs[:, None, None] + (1.0 - lams) * xs[None, :, None]
+    pts = np.concatenate((xs, interior.ravel()))
+    values = f.eval_array(pts)
+    first = int(np.argmax(values <= 0.0))
+    with pytest.raises(NotPositiveError) as err:
+        estimate_modulus(f, a, b, grid_n=grid_n, refine_rounds=0)
+    assert (err.value.x, err.value.value) == (float(pts[first]), float(values[first]))
+
+
 def test_domain_error_propagates():
     with pytest.raises(DomainError):
         estimate_modulus(parse("ln(x)"), -0.5, 1.0, grid_n=8, refine_rounds=0)
