@@ -31,7 +31,8 @@ evaluates f once on its interior points and reads positivity off the
 finiteness of the ln f(T) the ratios need anyway; the precise error for
 the first offender is computed only on failure.  Time grows as N^3 in the
 grid size N, so a call that would sample more than TRIPLE_BUDGET triples
-is refused with a ValueError before any sampling.  An interval so narrow
+is refused with a ValueError before any sampling; each grid counts as at
+least 2**13 triples, the cost of its fixed work.  An interval so narrow
 (or wide) that lam*(1-lam)*(x-y)^2 leaves (0, inf) at some admissible
 triple raises a ValueError naming the grid instead of returning a nan or
 infinite ratio.
@@ -136,7 +137,7 @@ def _positive_values(f: Expression, pts: np.ndarray) -> np.ndarray:
 
 
 def log_defect(f: Expression, x: float, y: float, lam: float) -> float:
-    """Defect ratio of f at the triple (x, y, lam).
+    """Defect ratio of f at the triple (x, y, lam): the grid walk on that 1x1x1 grid.
 
     Exactly symmetric under (x, lam) <-> (y, 1-lam) whenever 1-lam is exact,
     and exactly c-homogeneous under f -> t*f up to the rounding of t*f itself.
@@ -148,20 +149,8 @@ def log_defect(f: Expression, x: float, y: float, lam: float) -> float:
         raise ValueError("log_defect needs x != y")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must lie strictly inside (0, 1), got {lam!r}")
-    mu = 1.0 - lam
-    t = lam * x + mu * y
-    fx = f(x)
-    fy = f(y)
-    ft = f(t)
-    for value, point in ((fx, x), (fy, y), (ft, t)):
-        if value <= 0.0:
-            raise NotPositiveError(
-                f"f(x) = {value!r} <= 0 at x={point!r}; log-convexity does not apply",
-                x=point,
-                value=value,
-            )
-    delta = lam * (math.log(fx) - math.log(ft)) + mu * (math.log(fy) - math.log(ft))
-    return ft * math.expm1(delta) / (lam * mu * (x - y) ** 2)
+    value, _ = _min_over_grid(f, np.array([x]), np.array([y]), np.array([lam]))
+    return value
 
 
 def _spacing(grid: np.ndarray) -> float:
@@ -296,47 +285,6 @@ def _defect_tile(f: Expression, g: _GridPass, rows: slice, cols: slice, bufs: np
     return defect
 
 
-def _defect_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Defect ratios over the whole grid xs x ys x lams in one pass; invalid triples are +inf.
-
-    The reference the tiled walk is tested against.  Invalid means lam
-    outside the open unit interval or a pair skipped as in ``_defect_tile``.
-    Every lam is computed, 0 and 1 included, and the invalid triples are
-    masked afterwards; f is checked with ``_positive_values`` on each point
-    set, so no clipping or positivity shortcut of the walk is shared.
-    """
-    lfx = np.log(_positive_values(f, xs))
-    lfy = np.log(_positive_values(f, ys))
-    spacing = max(_spacing(xs), _spacing(ys))
-    X = xs[:, None, None]
-    Y = ys[None, :, None]
-    LAM = lams[None, None, :]
-    MU = 1.0 - LAM
-    t, work, defect = np.empty((3, xs.size, ys.size, lams.size))
-    np.add(LAM * X, MU * Y, out=t)
-    fT = _positive_values(f, t)  # may be t itself (f = x), so t is not reused below
-    diff = X - Y
-    pair_ok = np.abs(diff) > 0.49 * spacing
-    lam_ok = (LAM > 0.0) & (LAM < 1.0)
-    sq = diff**2
-    lam_mu = LAM * MU
-    _check_denominators(sq[pair_ok], lam_mu[lam_ok], xs, ys, lams.size)
-    with np.errstate(all="ignore"):
-        np.log(fT, out=work)
-        np.subtract(lfx[:, None, None], work, out=defect)
-        defect *= LAM
-        np.subtract(lfy[None, :, None], work, out=work)
-        work *= MU
-        defect += work
-        np.expm1(defect, out=defect)
-        defect *= fT
-        np.multiply(lam_mu, sq, out=work)
-        defect /= work
-    np.copyto(defect, np.inf, where=~pair_ok)
-    np.copyto(defect, np.inf, where=~lam_ok)
-    return defect
-
-
 def _grid_min(defects: np.ndarray, xs, ys, lams) -> tuple:
     # Flat C-order argmin returns the first minimum, i.e. the smallest
     # (x, y, lam) lexicographically over the ascending grids.
@@ -359,13 +307,19 @@ _TILE_TRIPLES = 65_536
 # sample: about 5 s at 21 ns a triple, 256 times a default grid-64 run.
 TRIPLE_BUDGET = 2**28
 
+# Triples each grid is charged at least: a round's fixed cost (about 140 us)
+# is that of some 8,000 triples, so many rounds of a tiny grid cannot slip
+# past the budget.
+_GRID_TRIPLES_FLOOR = 2**13
+
 
 def _check_budget(grid_n: int, grids: int) -> None:
-    triples = grid_n**3 * grids
+    triples = max(grid_n**3, _GRID_TRIPLES_FLOOR) * grids
     if triples > TRIPLE_BUDGET:
         raise ValueError(
-            f"{grids} grid(s) of {grid_n}^3 (x, y, lam) triples ask for {triples} triples, "
-            f"above the certifier's budget of {TRIPLE_BUDGET} triples"
+            f"{grids} grid(s) of {grid_n}^3 (x, y, lam) triples, each charged at least "
+            f"{_GRID_TRIPLES_FLOOR}, ask for {triples} triples, above the certifier's "
+            f"budget of {TRIPLE_BUDGET} triples"
         )
 
 
@@ -408,8 +362,8 @@ def estimate_modulus(
     local search in boxes centered on the running witness, each box half
     the width of the previous one (clipped to the domain).  c_star is the
     running minimum over everything sampled, so extra rounds never raise it.
-    Raises ValueError when the grid_n^3 * (refine_rounds + 1) triples exceed
-    TRIPLE_BUDGET.
+    Raises ValueError when the refine_rounds + 1 grids of grid_n^3 triples,
+    each counted as at least 2**13, exceed TRIPLE_BUDGET.
     """
     a = float(a)
     b = float(b)

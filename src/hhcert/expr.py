@@ -8,6 +8,13 @@ and binds tighter than unary minus, so ``-x^2`` is ``-(x^2)`` and
 ``x^2^3`` is ``x^(2^3)``.  ``log`` is rejected on purpose: its base is
 ambiguous, and a loud failure beats a silent guess.
 
+One walk over the tree evaluates it, with numpy's ufuncs, so numpy
+defines f everywhere.  ``evaluate_array`` maps an array and leaves domain
+violations NaN or infinite.  ``evaluate`` (``f(x)``) walks the one-point
+array ``[x]``, checks each node's domain rules in evaluation order and
+raises a named error for the first node that leaves its domain; where it
+returns, it returns ``f.eval_array([x])[0]`` bit for bit.
+
 Trees are immutable after parsing and evaluation is pure, so expressions
 are safe to share across threads without locking.
 """
@@ -15,6 +22,7 @@ are safe to share across threads without locking.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -245,136 +253,92 @@ def parse(text: str) -> Expression:
 
 
 # --------------------------------------------------------------------------
-# Scalar evaluation (math module, explicit domain errors)
+# Evaluation: one walk, unchecked over an array, checked on one point
 # --------------------------------------------------------------------------
 
-def _call_scalar(name: str, v: float) -> float:
-    if name == "exp":
-        try:
-            return math.exp(v)
-        except OverflowError as exc:
-            raise EvaluationError(f"overflow in exp({v!r})") from exc
-    if name == "ln":
-        if v <= 0.0:
-            raise DomainError(f"ln of non-positive value {v!r}")
-        return math.log(v)
-    if name == "sqrt":
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative value {v!r}")
-        return math.sqrt(v)
-    if name == "sin":
-        return math.sin(v)
-    if name == "cos":
-        return math.cos(v)
-    if name == "sinh":
-        try:
-            return math.sinh(v)
-        except OverflowError as exc:
-            raise EvaluationError(f"overflow in sinh({v!r})") from exc
-    if name == "cosh":
-        try:
-            return math.cosh(v)
-        except OverflowError as exc:
-            raise EvaluationError(f"overflow in cosh({v!r})") from exc
-    # name == "abs"
-    return abs(v)
+def _escaped(out, *args) -> bool:  # finite operands, non-finite result
+    return not math.isfinite(out) and all(map(math.isfinite, args))
 
 
-def _eval_scalar(node: Node, x: float) -> float:
-    if isinstance(node, BinOp):
-        left = _eval_scalar(node.left, x)
-        right = _eval_scalar(node.right, x)
-        op = node.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0.0:
-                raise DomainError("division by zero")
-            return left / right
-        try:
-            return math.pow(left, right)
-        except ValueError as exc:
-            raise DomainError(f"invalid power {left!r} ^ {right!r}") from exc
-        except OverflowError as exc:
-            raise EvaluationError(f"overflow in power {left!r} ^ {right!r}") from exc
-    if isinstance(node, Call):
-        return _call_scalar(node.name, _eval_scalar(node.arg, x))
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        return -_eval_scalar(node.arg, x)
-    return _CONSTANTS[node.name]
-
-
-def evaluate(f: Expression, x: float) -> float:
-    """Evaluate ``f`` at the finite real ``x`` with double-precision semantics."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"evaluation point must be finite, got {x!r}")
-    out = _eval_scalar(f.root, x)
-    if not math.isfinite(out):
-        raise EvaluationError(f"non-finite result at x={x!r}")
-    return out
-
-
-# --------------------------------------------------------------------------
-# Vectorized evaluation (numpy; domain violations become NaN/inf, callers
-# decide how to report them — the scalar path has the precise messages)
-# --------------------------------------------------------------------------
-
-_NP_CALLS = {
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "abs": np.abs,
+# Node kind (operator, call name or "neg") -> (operation, domain rules).  On
+# one point, the walk raises error(message.format(out, *args)) for the first
+# rule (error, message, broken) whose broken(out, *args) holds.  + - * and
+# unary minus are Python operators: constant subtrees stay Python floats.
+_OPS = {
+    "+": (operator.add, ()),
+    "-": (operator.sub, ()),
+    "*": (operator.mul, ()),
+    "neg": (operator.neg, ()),
+    "/": (np.divide, ((DomainError, "division by zero", lambda out, left, right: right == 0.0),)),
+    "^": (np.power, (
+        (DomainError, "invalid power {1!r} ^ {2!r}",
+         lambda out, left, right: _escaped(out, left, right) and (math.isnan(out) or left == 0.0)),
+        (EvaluationError, "overflow in power {1!r} ^ {2!r}", _escaped),
+    )),
+    "exp": (np.exp, ((EvaluationError, "overflow in exp({1!r})", _escaped),)),
+    "ln": (np.log, ((DomainError, "ln of non-positive value {1!r}", lambda out, v: v <= 0.0),)),
+    "sqrt": (np.sqrt, ((DomainError, "sqrt of negative value {1!r}", lambda out, v: v < 0.0),)),
+    "sin": (np.sin, ()),
+    "cos": (np.cos, ()),
+    "sinh": (np.sinh, ((EvaluationError, "overflow in sinh({1!r})", _escaped),)),
+    "cosh": (np.cosh, ((EvaluationError, "overflow in cosh({1!r})", _escaped),)),
+    "abs": (np.abs, ()),
 }
 
 
-def _eval_np(node: Node, xs: np.ndarray):
+def _walk(node: Node, xs, checked: bool):
     if isinstance(node, BinOp):
-        left = _eval_np(node.left, xs)
-        right = _eval_np(node.right, xs)
-        op = node.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return np.divide(left, right)
-        return np.power(left, right)
-    if isinstance(node, Call):
-        return _NP_CALLS[node.name](_eval_np(node.arg, xs))
-    if isinstance(node, Var):
+        kind, args = node.op, (_walk(node.left, xs, checked), _walk(node.right, xs, checked))
+    elif isinstance(node, Call):
+        kind, args = node.name, (_walk(node.arg, xs, checked),)
+    elif isinstance(node, Neg):
+        kind, args = "neg", (_walk(node.arg, xs, checked),)
+    elif isinstance(node, Var):
         return xs
-    if isinstance(node, Num):
+    elif isinstance(node, Num):
         return node.value
-    if isinstance(node, Neg):
-        return -_eval_np(node.arg, xs)
-    return _CONSTANTS[node.name]
+    else:
+        return _CONSTANTS[node.name]
+    op, rules = _OPS[kind]
+    out = op(*args)
+    if checked and rules:
+        point = [_item(v) for v in (out, *args)]
+        for error, message, broken in rules:
+            if broken(*point):
+                raise error(message.format(*point))
+    return out
+
+
+def _item(value) -> float:  # the value of a walk over one point
+    return value if type(value) is float else value.item()
+
+
+def evaluate(f: Expression, x: float) -> float:
+    """Evaluate ``f`` at the finite real ``x``: ``f.eval_array([x])[0]`` bit for bit.
+
+    The walk checks each node's domain rules and raises a DomainError or
+    EvaluationError naming the first node out of its domain or a non-finite result.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"evaluation point must be finite, got {x!r}")
+    with np.errstate(all="ignore"):
+        out = _item(_walk(f.root, np.array([x]), True))
+    if not math.isfinite(out):
+        raise EvaluationError(f"non-finite result at x={x!r}")
+    return out
 
 
 def evaluate_array(f: Expression, xs) -> np.ndarray:
     """Evaluate ``f`` elementwise over ``xs`` (any shape).
 
     Domain violations are not raised here: the offending entries come back
-    NaN or infinite and callers report them (usually by re-evaluating the
-    scalar path at the bad abscissa for a precise error).
+    NaN or infinite, and callers that need the named error evaluate
+    ``f(x)`` at an offending abscissa, which walks the same operations.
     """
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
-        out = _eval_np(f.root, xs)
+        out = _walk(f.root, xs, False)
     out = np.asarray(out, dtype=float)
     if out.shape != xs.shape:
         out = np.broadcast_to(out, xs.shape).copy()

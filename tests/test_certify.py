@@ -10,18 +10,60 @@ from hhcert.certify import (
     check_modulus,
     estimate_modulus,
     log_defect,
-    _defect_grid,
+    _check_denominators,
     _grid,
     _grid_min,
     _min_over_grid,
     _positive_values,
+    _spacing,
 )
-from hhcert.expr import DomainError, EvaluationError, parse
+from hhcert.expr import DomainError, EvaluationError, Expression, parse
 
 EXP_X2 = parse("exp(x^2)")
 EXP_X = parse("exp(x)")
 ONE = parse("1")
 POWER = parse("(x + 0.3)^1.5")  # log-concave: negative minimum
+
+
+def _defect_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Defect ratios over the whole grid xs x ys x lams in one pass; invalid triples are +inf.
+
+    The reference the tiled walk is tested against.  Invalid means lam
+    outside the open unit interval or a pair skipped as in ``_defect_tile``.
+    Every lam is computed, 0 and 1 included, and the invalid triples are
+    masked afterwards; f is checked with ``_positive_values`` on each point
+    set, so no clipping or positivity shortcut of the walk is shared.
+    """
+    lfx = np.log(_positive_values(f, xs))
+    lfy = np.log(_positive_values(f, ys))
+    spacing = max(_spacing(xs), _spacing(ys))
+    X = xs[:, None, None]
+    Y = ys[None, :, None]
+    LAM = lams[None, None, :]
+    MU = 1.0 - LAM
+    t, work, defect = np.empty((3, xs.size, ys.size, lams.size))
+    np.add(LAM * X, MU * Y, out=t)
+    fT = _positive_values(f, t)  # may be t itself (f = x), so t is not reused below
+    diff = X - Y
+    pair_ok = np.abs(diff) > 0.49 * spacing
+    lam_ok = (LAM > 0.0) & (LAM < 1.0)
+    sq = diff**2
+    lam_mu = LAM * MU
+    _check_denominators(sq[pair_ok], lam_mu[lam_ok], xs, ys, lams.size)
+    with np.errstate(all="ignore"):
+        np.log(fT, out=work)
+        np.subtract(lfx[:, None, None], work, out=defect)
+        defect *= LAM
+        np.subtract(lfy[None, :, None], work, out=work)
+        work *= MU
+        defect += work
+        np.expm1(defect, out=defect)
+        defect *= fT
+        np.multiply(lam_mu, sq, out=work)
+        defect /= work
+    np.copyto(defect, np.inf, where=~pair_ok)
+    np.copyto(defect, np.inf, where=~lam_ok)
+    return defect
 
 
 # --------------------------------------------------------------------------
@@ -58,6 +100,22 @@ def test_defect_rejects_non_positive_function():
     with pytest.raises(NotPositiveError) as err:
         log_defect(parse("x"), -1.0, 1.0, 0.5)
     assert err.value.x is not None
+
+
+def test_defect_names_an_underflowing_denominator():
+    # lam*(1-lam)*(x-y)^2 underflows to 0: the walk's named error, not a
+    # ZeroDivisionError
+    with pytest.raises(ValueError, match="too narrow") as err:
+        log_defect(EXP_X2, 0.0, 1e-170, 0.5)
+    assert "1x1x1 grid over x in [0.0, 0.0], y in [1e-170, 1e-170]" in str(err.value)
+
+
+@pytest.mark.parametrize("f", [EXP_X2, EXP_X, ONE, POWER], ids=["exp_x2", "exp_x", "one", "power"])
+def test_defect_is_the_grid_walk_on_one_triple_bit_for_bit(f):
+    for x, y, lam in [(0.0, 1.0, 0.5), (0.9, 0.1, 0.3), (0.2, 0.7, 0.8125), (1.0, 0.4, 1e-3)]:
+        value, witness = _min_over_grid(f, np.array([x]), np.array([y]), np.array([lam]))
+        assert witness == (x, y, lam)
+        assert _bits(log_defect(f, x, y, lam)) == _bits(value)
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.25, 0.375, 0.8125])
@@ -265,7 +323,10 @@ def test_one_evaluator_call_per_grid_and_per_tile(monkeypatch):
 def test_the_triple_budget_is_checked_before_sampling(monkeypatch):
     # grid_n^3 triples per grid, refine_rounds + 1 grids: 128^3 * 128 is
     # exactly 2**28 and allowed; one more round, or one more grid point for
-    # check_modulus's single grid (646^3 > 2**28 >= 645^3), is refused
+    # check_modulus's single grid (646^3 > 2**28 >= 645^3), is refused.  A
+    # grid counts as at least 2**13 triples, its fixed cost: a million
+    # rounds of grid 3 are refused, the sweep's grid 16 and the default
+    # grid 64 with 3 rounds are not
     import hhcert.expr
 
     class Sampled(Exception):
@@ -279,10 +340,15 @@ def test_the_triple_budget_is_checked_before_sampling(monkeypatch):
         estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=128, refine_rounds=127)
     with pytest.raises(Sampled):
         check_modulus(EXP_X2, 0.0, 1.0, 0.5, grid_n=645)
+    for grid_n in (16, 64):
+        with pytest.raises(Sampled):
+            estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=grid_n, refine_rounds=3)
     for run, triples in [
         (lambda: estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=128, refine_rounds=128), 128**3 * 129),
         (lambda: check_modulus(EXP_X2, 0.0, 1.0, 0.5, grid_n=646), 646**3),
         (lambda: estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=2000), 2000**3 * 4),
+        (lambda: estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=3, refine_rounds=10**6),
+         2**13 * (10**6 + 1)),
     ]:
         with pytest.raises(ValueError, match="budget") as err:
             run()

@@ -57,6 +57,17 @@ def test_classical_running_example():
     assert rep.holds
 
 
+def test_classical_and_dm_share_the_bits_of_f():
+    # f(x) and the array path give the same bits, so both chains report the
+    # same midpoint value and endpoint average
+    f = parse("exp(2.893911876651373*x^2 + -1.0178458949748617*x + -0.7276690233553447)")
+    a, b = 0.7081500315732305, 0.9789235812032859
+    classical = dict(classical_hh_terms(f, a, b).terms)
+    dm = dict(dragomir_mond_chain(f, a, b).terms)
+    for name in ("midpoint_value", "endpoint_average"):
+        assert np.float64(classical[name]).view(np.uint64) == np.float64(dm[name]).view(np.uint64)
+
+
 def test_classical_allows_sign_changing_functions():
     # plain convexity does not need positivity
     rep = classical_hh_terms(parse("x^2 - 1"), -2.0, 2.0)

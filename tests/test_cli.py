@@ -46,6 +46,16 @@ def test_domain_error_exits_two(capsys):
     assert err.startswith("error:")
 
 
+def test_trig_of_an_overflowed_argument_exits_two_with_a_named_error(capsys):
+    # sin(x*1e308*10) is sin(inf) = NaN on all of [0.5, 1]
+    code, out, err = run(capsys, "integrate", "--f", "sin(x*1e308*10)", "--a", "0.5",
+                         "--b", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: non-finite result at x=")
+    assert "math domain error" not in err
+
+
 def test_bad_interval_exits_two(capsys):
     code, _, err = run(capsys, "certify", "--f", "exp(x)", "--a", "1", "--b", "0")
     assert code == 2

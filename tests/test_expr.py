@@ -13,6 +13,7 @@ from hhcert.expr import (
     DomainError,
     EvaluationError,
     Expression,
+    ExpressionError,
     Neg,
     Num,
     ParseError,
@@ -151,6 +152,35 @@ def test_overflow_reported_as_evaluation_error():
         evaluate(parse("x^x"), 400.0)
 
 
+@pytest.mark.parametrize(
+    "text, x, error, message",
+    [
+        ("ln(x)", -1.0, DomainError, "ln of non-positive value -1.0"),
+        ("sqrt(x)", -4.0, DomainError, "sqrt of negative value -4.0"),
+        ("1/x", 0.0, DomainError, "division by zero"),
+        ("x^0.5", -2.0, DomainError, "invalid power -2.0 ^ 0.5"),
+        ("x^-1", 0.0, DomainError, "invalid power 0.0 ^ -1.0"),
+        ("exp(x)", 1000.0, EvaluationError, "overflow in exp(1000.0)"),
+        ("sinh(x)", -1e6, EvaluationError, "overflow in sinh(-1000000.0)"),
+        ("cosh(x)", 1e6, EvaluationError, "overflow in cosh(1000000.0)"),
+        ("x^x", 400.0, EvaluationError, "overflow in power 400.0 ^ 400.0"),
+        ("x*1e308*10", 0.5, EvaluationError, "non-finite result at x=0.5"),
+        # the first node out of its domain is named, in evaluation order
+        ("ln(x) + sqrt(x)", -1.0, DomainError, "ln of non-positive value -1.0"),
+        ("sqrt(x) + 1/(x+1)", -1.0, DomainError, "sqrt of negative value -1.0"),
+        # a division by zero is named even when the result would be finite
+        ("1/(1/x)", 0.0, DomainError, "division by zero"),
+        # sin(inf) and cos(inf) are NaN, not a bare "math domain error"
+        ("sin(x*1e308*10)", 0.5, EvaluationError, "non-finite result at x=0.5"),
+        ("cos(x*1e308*10)", 0.5, EvaluationError, "non-finite result at x=0.5"),
+    ],
+)
+def test_each_node_names_its_own_domain_error(text, x, error, message):
+    with pytest.raises(error) as err:
+        evaluate(parse(text), x)
+    assert str(err.value) == message
+
+
 def test_non_finite_point_rejected():
     with pytest.raises(ValueError):
         evaluate(parse("x"), float("inf"))
@@ -176,7 +206,7 @@ def test_eval_array_matches_scalar(text):
     vec = f.eval_array(xs)
     assert vec.shape == xs.shape
     for x, v in zip(xs, vec):
-        assert v == pytest.approx(f(float(x)), rel=1e-14)
+        assert f(float(x)) == v
 
 
 def test_eval_array_flags_domain_violations_as_nan():
@@ -221,6 +251,36 @@ def test_serialize_parse_round_trip(root):
     assert reparsed.root == root
     # canonical text is a fixed point
     assert serialize(reparsed) == text
+
+
+# --------------------------------------------------------------------------
+# one evaluator: f(x) is the array path on one point
+# --------------------------------------------------------------------------
+
+def _bits(value) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+_points = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(_trees, st.lists(_points, min_size=1, max_size=4))
+def test_f_of_x_is_the_one_point_array_entry_or_a_named_error(root, xs):
+    # f(x) walks the array path on [x]: it returns that entry bit for bit,
+    # or raises an ExpressionError, and it always raises when the entry is
+    # not finite
+    f = Expression(root)
+    for x in xs:
+        entry = f.eval_array([x])[0]
+        try:
+            value = f(x)
+        except ExpressionError:
+            continue
+        assert math.isfinite(entry)
+        assert _bits(value) == _bits(entry)
 
 
 def test_round_trip_of_plain_sources():
