@@ -136,6 +136,17 @@ def _positive_values(f: Expression, pts: np.ndarray) -> np.ndarray:
     )
 
 
+def _validate_interval(a: float, b: float) -> Tuple[float, float]:
+    """a and b as floats; refused unless a < b are finite and so is the width b - a."""
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
+        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
+    if not math.isfinite(b - a):
+        raise ValueError(f"need a finite width b - a, got a={a!r}, b={b!r}")
+    return a, b
+
+
 def log_defect(f: Expression, x: float, y: float, lam: float) -> float:
     """Defect ratio of f at the triple (x, y, lam): the grid walk on that 1x1x1 grid.
 
@@ -362,13 +373,11 @@ def estimate_modulus(
     local search in boxes centered on the running witness, each box half
     the width of the previous one (clipped to the domain).  c_star is the
     running minimum over everything sampled, so extra rounds never raise it.
-    Raises ValueError when the refine_rounds + 1 grids of grid_n^3 triples,
-    each counted as at least 2**13, exceed TRIPLE_BUDGET.
+    Raises ValueError unless a < b are finite with a finite width b - a, and
+    when the refine_rounds + 1 grids of grid_n^3 triples, each counted as at
+    least 2**13, exceed TRIPLE_BUDGET.
     """
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
+    a, b = _validate_interval(a, b)
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
     if refine_rounds < 0:
@@ -415,21 +424,13 @@ def check_modulus(
 ) -> ModulusCheck:
     """Check whether every sampled defect ratio is at least c (minus 1e-12).
 
+    The sample is ``estimate_modulus``'s first grid, without refinement.
     Returns the worst sampled triple either way; ok=False means that triple
-    witnesses a violation of the claimed modulus.  Raises ValueError when the
-    grid_n^3 triples exceed TRIPLE_BUDGET.
+    witnesses a violation of the claimed modulus.  Raises ValueError as
+    ``estimate_modulus`` does.
     """
-    a = float(a)
-    b = float(b)
     c = float(c)
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
     if not c > 0.0:
         raise ValueError(f"modulus must be positive, got {c!r}")
-    if grid_n < 3:
-        raise ValueError(f"grid_n must be at least 3, got {grid_n}")
-    _check_budget(grid_n, 1)
-    xs = _grid(a, b, grid_n)
-    lams = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
-    worst, witness = _min_over_grid(f, xs, xs, lams)
-    return ModulusCheck(ok=bool(worst >= c - 1e-12), witness=witness, defect=worst)
+    cert = estimate_modulus(f, a, b, grid_n, refine_rounds=0)
+    return ModulusCheck(ok=bool(cert.c_star >= c - 1e-12), witness=cert.witness, defect=cert.c_star)

@@ -40,7 +40,9 @@ chain needs no positivity and uses ``mean_integral``.
 Verdicts use a margin tolerance scaled by max(1, largest |term|), and each
 quadrature row scales its absolute tolerance by a bound on the row's
 magnitude, so the one-digit gap between integral accuracy and verdict
-tolerance survives functions of any size.
+tolerance survives functions of any size.  A non-finite term would make
+that tolerance infinite and pass any margin, so it raises a ValueError
+naming the term and c instead, and c itself must be finite.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import means
-from .certify import _positive_values
+from .certify import _positive_values, _validate_interval
 from .expr import Expression
 from .quadrature import integrate, mean_integral
 
@@ -153,22 +155,27 @@ def _means(f: Expression, a: float, b: float, tol: float) -> _Means:
     return _Means(fa, fb, fm, mean_f, math.exp(mean_log), mean_geo, mean_prod, log_mean, end_avg)
 
 
-def _validate_interval(a: float, b: float) -> Tuple[float, float]:
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
-    return a, b
-
-
 def _modulus(c: float) -> float:
     c = float(c)
     if not c >= 0.0:
         raise ValueError(f"modulus must be nonnegative, got {c!r}")
+    if c == math.inf:
+        raise ValueError(f"modulus must be finite, got {c!r}")
     return c
 
 
+def _require_finite(named_terms, c: float) -> None:
+    """Refuse a verdict on a non-finite term, whose tolerance would pass any margin.
+
+    A term that is None was not computed and is skipped.
+    """
+    for name, value in named_terms:
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"term {name} is {value!r} at c={c!r}; no verdict can rest on it")
+
+
 def _report(f, a, b, c, named_terms, margin_tol) -> ChainReport:
+    _require_finite(named_terms, c)
     values = [v for _, v in named_terms]
     margins = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
     tol_eff = margin_tol * max(1.0, max(abs(v) for v in values))
@@ -341,6 +348,9 @@ def _theorem2_assemble(f, a, b, c, m: _Means, margin_tol, form) -> Theorem2Repor
             m.end_avg + m.log_mean
         )
 
+    named = [("mean_product_integral", lhs), ("rhs_corrected", rhs_corrected),
+             ("rhs_as_printed", rhs_as_printed)]
+    _require_finite(named, c)
     tol_eff = margin_tol * max(1.0, abs(lhs), abs(rhs_corrected))
     margin_corrected = rhs_corrected - lhs
     margin_as_printed = None if rhs_as_printed is None else rhs_as_printed - lhs

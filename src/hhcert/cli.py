@@ -9,23 +9,30 @@ Subcommands:
 * ``integrate``  raw adaptive quadrature of an expression
 * ``maxc``       largest modulus for which the strengthened chain holds
 
-Exit codes: 0 all checks hold, 1 at least one inequality violation was
-found (still a successful run), 2 usage/parse/domain errors (message on
-stderr).  ``--json`` emits the canonical report (17-significant-digit
-numbers, fixed key order); ``--csv`` emits one row per chain term or per
-sweep case/kind.  Output is byte-identical across identical invocations.
+Every subcommand builds one report and ``main`` alone writes it, as the
+canonical JSON document (``--json``: 17-significant-digit numbers, fixed
+key order), as CSV rows (``--csv``: one per chain term, per sweep case and
+chain kind, or per output key) or as text.  The document is serialized in
+every format, so the exit code never depends on the format flag: 0 all
+checks hold, 1 at least one inequality violation was found (still a
+successful run), 2 usage/parse/domain errors or a report with a
+non-finite number (message on stderr, nothing on stdout).  Intervals must
+be finite with a finite width b - a; a negative value may follow its
+option in exponent notation (``--a -1e-3``).  Output is byte-identical
+across identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
-from typing import List, Optional
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from . import __version__, chains, harness
 from .certify import NotPositiveError, estimate_modulus
-from .expr import DomainError, EvaluationError, ParseError, parse
+from .expr import ExpressionError, parse
 from .quadrature import IntegrandError, integrate
 from .report import dumps_canonical, format_float
 
@@ -85,121 +92,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --------------------------------------------------------------------------
-# Report builders (dicts in canonical key order)
+# The report and its shared parts
 # --------------------------------------------------------------------------
 
-def _chain_violations(rep: chains.ChainReport):
-    out = []
-    for i, margin in enumerate(rep.margins):
-        if margin < -rep.tol:
-            out.append(
-                {
-                    "term_pair": [rep.terms[i][0], rep.terms[i + 1][0]],
-                    "margin": margin,
-                }
-            )
-    return out
+class _Output(NamedTuple):
+    """One run's report: the canonical document, its two other views, the exit code.
+
+    ``rows`` are CSV rows of raw values, which ``main`` formats with ``_fmt``;
+    ``lines`` are the text lines.  Both are generators, so a run builds only
+    the view it prints.
+    """
+
+    doc: dict
+    rows: Iterable[Sequence]
+    lines: Iterable[str]
+    code: int
 
 
-def _chain_report_dict(args, rep: chains.ChainReport):
-    return {
-        "command": "chain",
-        "version": __version__,
-        "inputs": {
-            "f": args.f,
-            "a": args.a,
-            "b": args.b,
-            "c": rep.c,
-            "tol": args.tol,
-            "which": args.which,
-        },
-        "outputs": {
-            "terms": [[name, value] for name, value in rep.terms],
-            "margins": list(rep.margins),
-            "holds": rep.holds,
-            "min_margin": rep.min_margin,
-            "margin_tol": rep.tol,
-        },
-        "violations": _chain_violations(rep),
-    }
+def _doc(command: str, inputs: dict, outputs: dict, violations: Iterable = ()) -> dict:
+    return {"command": command, "version": __version__, "inputs": inputs, "outputs": outputs,
+            "violations": list(violations)}
 
 
-def _theorem2_report_dict(args, rep: chains.Theorem2Report, form: str):
-    violations = []
-    if not rep.holds_corrected:
-        violations.append(
-            {
-                "term_pair": ["mean_product_integral", "rhs_corrected"],
-                "margin": rep.margin_corrected,
-            }
-        )
-    return {
-        "command": "theorem2",
-        "version": __version__,
-        "inputs": {
-            "f": args.f,
-            "a": args.a,
-            "b": args.b,
-            "c": rep.c,
-            "tol": args.tol,
-            "form": form,
-        },
-        "outputs": {
-            "lhs": rep.lhs,
-            "rhs_corrected": rep.rhs_corrected,
-            "rhs_as_printed": rep.rhs_as_printed,
-            "holds_corrected": rep.holds_corrected,
-            "holds_as_printed": rep.holds_as_printed,
-            "printed_applicable": rep.printed_applicable,
-            "bracket_value": rep.bracket_value,
-            "k": rep.k,
-            "margin_corrected": rep.margin_corrected,
-            "margin_as_printed": rep.margin_as_printed,
-            "margin_tol": rep.tol,
-        },
-        "violations": violations,
-    }
-
-
-def _sweep_report_dict(args, rep: harness.SweepReport):
-    def entry(v: harness.SweepViolation):
-        return {
-            "case_index": v.case_index,
-            "family": v.case.family,
-            "f": v.case.function_text,
-            "a": v.case.a,
-            "b": v.case.b,
-            "kind": v.kind,
-            "min_margin": v.min_margin,
-            "term_pair": list(v.witness),
-        }
-
-    return {
-        "command": "sweep",
-        "version": __version__,
-        "inputs": {
-            "families": list(rep.families),
-            "cases": rep.cases_run,
-            "seed": rep.seed,
-            "tol": args.tol,
-        },
-        "outputs": {
-            "cases_run": rep.cases_run,
-            "holds": dict(rep.holds),
-            "violated": dict(rep.violated),
-            "not_applicable": dict(rep.not_applicable),
-        },
-        "violations": [entry(v) for v in rep.violations],
-        "as_printed_failures": [entry(v) for v in rep.as_printed_failures],
-    }
-
-
-# --------------------------------------------------------------------------
-# Emitters
-# --------------------------------------------------------------------------
-
-def _emit_json(doc) -> None:
-    sys.stdout.write(dumps_canonical(doc) + "\n")
+def _key_value_rows(outputs: dict):
+    """``key,value`` rows of a flat report; certify's witness becomes three rows."""
+    yield "key", "value"
+    for key, value in outputs.items():
+        if key == "witness":
+            yield from zip(("witness_x", "witness_y", "witness_lam"), value)
+        else:
+            yield key, value
 
 
 def _fmt(value) -> str:
@@ -212,36 +134,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit_chain_csv(rep: chains.ChainReport) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["term_index", "term_name", "value", "margin_to_next"])
-    for i, (name, value) in enumerate(rep.terms):
-        margin = rep.margins[i] if i < len(rep.margins) else None
-        writer.writerow([i, name, _fmt(value), _fmt(margin)])
-
-
-def _emit_chain_human(rep: chains.ChainReport) -> None:
-    print(f"function : {rep.function_text}")
-    print(f"interval : [{rep.a:g}, {rep.b:g}]   c = {rep.c:g}")
-    width = max(len(name) for name, _ in rep.terms)
-    for i, (name, value) in enumerate(rep.terms):
-        margin = f"   margin {rep.margins[i]: .12g}" if i < len(rep.margins) else ""
-        print(f"  {name:<{width}} = {value:.15g}{margin}")
-    verdict = "holds" if rep.holds else "VIOLATED"
-    print(f"chain {verdict}: min margin {rep.min_margin:.12g} (tol {rep.tol:.3g})")
-
-
-def _interval_args(args):
-    if not args.a < args.b:
-        raise ValueError(f"need a < b, got a={args.a!r}, b={args.b!r}")
-
-
 # --------------------------------------------------------------------------
-# Subcommand drivers; each returns the exit code
+# Subcommand drivers; each returns its _Output
 # --------------------------------------------------------------------------
 
-def _run_chain(args) -> int:
-    _interval_args(args)
+def _run_chain(args) -> _Output:
     f = parse(args.f)
     if args.which == "classical":
         rep = chains.classical_hh_terms(f, args.a, args.b, args.tol)
@@ -249,228 +146,232 @@ def _run_chain(args) -> int:
         rep = chains.dragomir_mond_chain(f, args.a, args.b, args.tol)
     else:
         rep = chains.theorem1_chain(f, args.a, args.b, args.c, args.tol)
-    doc = _chain_report_dict(args, rep)
-    if args.json:
-        _emit_json(doc)
-    elif args.csv:
-        _emit_chain_csv(rep)
-    else:
-        _emit_chain_human(rep)
-    return 0 if rep.holds else 1
-
-
-def _run_certify(args) -> int:
-    _interval_args(args)
-    f = parse(args.f)
-    cert = estimate_modulus(f, args.a, args.b, args.grid, args.refine)
-    doc = {
-        "command": "certify",
-        "version": __version__,
-        "inputs": {
-            "f": args.f,
-            "a": args.a,
-            "b": args.b,
-            "grid": args.grid,
-            "refine": args.refine,
-        },
-        "outputs": {
-            "c_star": cert.c_star,
-            "witness": list(cert.witness),
-            "grid_size": cert.grid_size,
-            "refinement_rounds": cert.refinement_rounds,
-            "status": cert.status.value,
-        },
-        "violations": [],
+    violations = (
+        {"term_pair": [rep.terms[i][0], rep.terms[i + 1][0]], "margin": margin}
+        for i, margin in enumerate(rep.margins)
+        if margin < -rep.tol
+    )
+    inputs = {"f": args.f, "a": args.a, "b": args.b, "c": rep.c, "tol": args.tol,
+              "which": args.which}
+    outputs = {
+        "terms": [[name, value] for name, value in rep.terms],
+        "margins": list(rep.margins),
+        "holds": rep.holds,
+        "min_margin": rep.min_margin,
+        "margin_tol": rep.tol,
     }
-    if args.json:
-        _emit_json(doc)
-    elif args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        writer.writerow(["c_star", _fmt(cert.c_star)])
-        writer.writerow(["witness_x", _fmt(cert.witness[0])])
-        writer.writerow(["witness_y", _fmt(cert.witness[1])])
-        writer.writerow(["witness_lam", _fmt(cert.witness[2])])
-        writer.writerow(["grid_size", cert.grid_size])
-        writer.writerow(["refinement_rounds", cert.refinement_rounds])
-        writer.writerow(["status", cert.status.value])
-    else:
-        print(f"function : {args.f}")
-        print(f"interval : [{args.a:g}, {args.b:g}]")
-        print(f"c_star   : {cert.c_star:.15g}")
-        x, y, lam = cert.witness
-        print(f"witness  : x={x:.12g}  y={y:.12g}  lam={lam:.12g}")
-        print(f"status   : {cert.status.value} (grid {cert.grid_size}, {cert.refinement_rounds} refinement rounds)")
-    return 0
+    doc = _doc("chain", inputs, outputs, violations)
+    return _Output(doc, _chain_rows(rep), _chain_lines(rep), 0 if rep.holds else 1)
 
 
-def _run_theorem2(args) -> int:
-    _interval_args(args)
-    f = parse(args.f)
-    form = {"corrected": "corrected", "printed": "as_printed", "both": "both"}[args.form]
-    rep = chains.theorem2_bound(f, args.a, args.b, args.c, args.tol, form=form)
-    doc = _theorem2_report_dict(args, rep, form)
-    if args.json:
-        _emit_json(doc)
-    elif args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for key, value in doc["outputs"].items():
-            writer.writerow([key, _fmt(value)])
-    else:
-        print(f"function : {rep.function_text}")
-        print(f"interval : [{rep.a:g}, {rep.b:g}]   c = {rep.c:g}")
-        print(f"lhs  (mean product integral) = {rep.lhs:.15g}")
-        print(f"rhs  (corrected)             = {rep.rhs_corrected:.15g}   margin {rep.margin_corrected:.12g}")
-        if rep.rhs_as_printed is not None:
-            print(f"rhs  (as printed)            = {rep.rhs_as_printed:.15g}   margin {rep.margin_as_printed:.12g}")
-        elif form in ("as_printed", "both"):
-            print("rhs  (as printed)            : not applicable (needs f(b)-f(a) > 0 and != 1)")
-        verdict = "holds" if rep.holds_corrected else "VIOLATED"
-        print(f"corrected bound {verdict} (tol {rep.tol:.3g})")
-    return 0 if rep.holds_corrected else 1
+def _chain_rows(rep: chains.ChainReport):
+    yield "term_index", "term_name", "value", "margin_to_next"
+    for i, (name, value) in enumerate(rep.terms):
+        yield i, name, value, rep.margins[i] if i < len(rep.margins) else None
 
 
-def _run_sweep(args) -> int:
+def _chain_lines(rep: chains.ChainReport):
+    yield f"function : {rep.function_text}"
+    yield f"interval : [{rep.a:g}, {rep.b:g}]   c = {rep.c:g}"
+    width = max(len(name) for name, _ in rep.terms)
+    for i, (name, value) in enumerate(rep.terms):
+        margin = f"   margin {rep.margins[i]: .12g}" if i < len(rep.margins) else ""
+        yield f"  {name:<{width}} = {value:.15g}{margin}"
+    verdict = "holds" if rep.holds else "VIOLATED"
+    yield f"chain {verdict}: min margin {rep.min_margin:.12g} (tol {rep.tol:.3g})"
+
+
+def _run_certify(args) -> _Output:
+    cert = estimate_modulus(parse(args.f), args.a, args.b, args.grid, args.refine)
+    inputs = {"f": args.f, "a": args.a, "b": args.b, "grid": args.grid, "refine": args.refine}
+    outputs = {"c_star": cert.c_star, "witness": list(cert.witness), "grid_size": cert.grid_size,
+               "refinement_rounds": cert.refinement_rounds, "status": cert.status.value}
+    doc = _doc("certify", inputs, outputs)
+    return _Output(doc, _key_value_rows(outputs), _certify_lines(args, cert), 0)
+
+
+def _certify_lines(args, cert):
+    x, y, lam = cert.witness
+    yield f"function : {args.f}"
+    yield f"interval : [{args.a:g}, {args.b:g}]"
+    yield f"c_star   : {cert.c_star:.15g}"
+    yield f"witness  : x={x:.12g}  y={y:.12g}  lam={lam:.12g}"
+    yield (f"status   : {cert.status.value} (grid {cert.grid_size}, "
+           f"{cert.refinement_rounds} refinement rounds)")
+
+
+_THEOREM2_FORMS = {"corrected": "corrected", "printed": "as_printed", "both": "both"}
+
+
+def _run_theorem2(args) -> _Output:
+    form = _THEOREM2_FORMS[args.form]
+    rep = chains.theorem2_bound(parse(args.f), args.a, args.b, args.c, args.tol, form=form)
+    violations = [] if rep.holds_corrected else [
+        {"term_pair": ["mean_product_integral", "rhs_corrected"], "margin": rep.margin_corrected}
+    ]
+    inputs = {"f": args.f, "a": args.a, "b": args.b, "c": rep.c, "tol": args.tol, "form": form}
+    outputs = {
+        "lhs": rep.lhs, "rhs_corrected": rep.rhs_corrected, "rhs_as_printed": rep.rhs_as_printed,
+        "holds_corrected": rep.holds_corrected, "holds_as_printed": rep.holds_as_printed,
+        "printed_applicable": rep.printed_applicable, "bracket_value": rep.bracket_value,
+        "k": rep.k, "margin_corrected": rep.margin_corrected,
+        "margin_as_printed": rep.margin_as_printed, "margin_tol": rep.tol,
+    }
+    doc = _doc("theorem2", inputs, outputs, violations)
+    code = 0 if rep.holds_corrected else 1
+    return _Output(doc, _key_value_rows(outputs), _theorem2_lines(rep, form), code)
+
+
+def _theorem2_lines(rep: chains.Theorem2Report, form: str):
+    yield f"function : {rep.function_text}"
+    yield f"interval : [{rep.a:g}, {rep.b:g}]   c = {rep.c:g}"
+    yield f"lhs  (mean product integral) = {rep.lhs:.15g}"
+    yield (f"rhs  (corrected)             = {rep.rhs_corrected:.15g}"
+           f"   margin {rep.margin_corrected:.12g}")
+    if rep.rhs_as_printed is not None:
+        yield (f"rhs  (as printed)            = {rep.rhs_as_printed:.15g}"
+               f"   margin {rep.margin_as_printed:.12g}")
+    elif form in ("as_printed", "both"):
+        yield "rhs  (as printed)            : not applicable (needs f(b)-f(a) > 0 and != 1)"
+    verdict = "holds" if rep.holds_corrected else "VIOLATED"
+    yield f"corrected bound {verdict} (tol {rep.tol:.3g})"
+
+
+def _sweep_entry(v: harness.SweepViolation) -> dict:
+    case = v.case
+    return {"case_index": v.case_index, "family": case.family, "f": case.function_text,
+            "a": case.a, "b": case.b, "kind": v.kind, "min_margin": v.min_margin,
+            "term_pair": list(v.witness)}
+
+
+def _run_sweep(args) -> _Output:
     families = tuple(name.strip() for name in args.families.split(",") if name.strip())
     results = harness.sweep_results(args.cases, families, seed=args.seed, tol=args.tol)
     rep = harness.aggregate_results(results, families, args.seed)
-    doc = _sweep_report_dict(args, rep)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dumps_canonical(doc) + "\n")
-    if args.json:
-        _emit_json(doc)
-    elif args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
-            ["case_index", "family", "a", "b", "c", "chain_kind", "holds", "min_margin"]
-        )
-        for index, result in enumerate(results):
-            for kind in harness.CHAIN_KINDS:
-                outcome = result.outcomes[kind]
-                holds = {"holds": "true", "violated": "false", "not_applicable": "na"}[outcome]
-                writer.writerow(
-                    [
-                        index,
-                        result.case.family,
-                        format_float(result.case.a),
-                        format_float(result.case.b),
-                        _fmt(result.c),
-                        kind,
-                        holds,
-                        _fmt(result.min_margins[kind]),
-                    ]
-                )
-    else:
-        print(f"sweep    : {rep.cases_run} cases, families {', '.join(rep.families)}, seed {rep.seed}")
+    inputs = {"families": list(rep.families), "cases": rep.cases_run, "seed": rep.seed,
+              "tol": args.tol}
+    outputs = {"cases_run": rep.cases_run, "holds": dict(rep.holds),
+               "violated": dict(rep.violated), "not_applicable": dict(rep.not_applicable)}
+    doc = _doc("sweep", inputs, outputs, map(_sweep_entry, rep.violations))
+    doc["as_printed_failures"] = list(map(_sweep_entry, rep.as_printed_failures))
+    code = 0 if not rep.violations else 1
+    return _Output(doc, _sweep_rows(results), _sweep_lines(rep), code)
+
+
+_HOLDS_CELL = {"holds": "true", "violated": "false", "not_applicable": "na"}
+
+
+def _sweep_rows(results: Sequence[harness.CaseResult]):
+    yield "case_index", "family", "a", "b", "c", "chain_kind", "holds", "min_margin"
+    for index, result in enumerate(results):
+        case = result.case
         for kind in harness.CHAIN_KINDS:
-            print(
-                f"  {kind:<22} holds {rep.holds[kind]:>5}   violated {rep.violated[kind]:>3}"
-                f"   not_applicable {rep.not_applicable[kind]:>3}"
-            )
-        for v in rep.violations:
-            print(
-                f"  VIOLATION case {v.case_index} [{v.case.family}] {v.case.function_text}"
-                f" on [{v.case.a:g}, {v.case.b:g}]: {v.kind} margin {v.min_margin:.6g}"
-                f" at {v.witness[0]} -> {v.witness[1]}"
-            )
-        if rep.as_printed_failures:
-            print(
-                f"  note: {len(rep.as_printed_failures)} as-printed product-bound failures"
-                " (documented typeset discrepancy; not counted as violations)"
-            )
-    return 0 if not rep.violations else 1
+            holds = _HOLDS_CELL[result.outcomes[kind]]
+            yield (index, case.family, case.a, case.b, result.c, kind, holds,
+                   result.min_margins[kind])
 
 
-def _run_integrate(args) -> int:
-    _interval_args(args)
+def _sweep_lines(rep: harness.SweepReport):
+    yield f"sweep    : {rep.cases_run} cases, families {', '.join(rep.families)}, seed {rep.seed}"
+    for kind in harness.CHAIN_KINDS:
+        yield (f"  {kind:<22} holds {rep.holds[kind]:>5}   violated {rep.violated[kind]:>3}"
+               f"   not_applicable {rep.not_applicable[kind]:>3}")
+    for v in rep.violations:
+        yield (f"  VIOLATION case {v.case_index} [{v.case.family}] {v.case.function_text}"
+               f" on [{v.case.a:g}, {v.case.b:g}]: {v.kind} margin {v.min_margin:.6g}"
+               f" at {v.witness[0]} -> {v.witness[1]}")
+    if rep.as_printed_failures:
+        yield (f"  note: {len(rep.as_printed_failures)} as-printed product-bound failures"
+               " (documented typeset discrepancy; not counted as violations)")
+
+
+def _run_integrate(args) -> _Output:
     f = parse(args.f)
     try:
         res = integrate(f.eval_array, args.a, args.b, args.tol)
     except IntegrandError as exc:
         f(exc.x)  # surface the precise domain error
         raise
-    doc = {
-        "command": "integrate",
-        "version": __version__,
-        "inputs": {"f": args.f, "a": args.a, "b": args.b, "tol": args.tol},
-        "outputs": {
-            "value": res.value,
-            "error_estimate": res.error_estimate,
-            "evaluations": res.evaluations,
-            "converged": res.converged,
-        },
-        "violations": [],
-    }
-    if args.json:
-        _emit_json(doc)
-    elif args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for key, value in doc["outputs"].items():
-            writer.writerow([key, _fmt(value)])
-    else:
-        print(f"integral of {args.f} over [{args.a:g}, {args.b:g}]")
-        print(f"value          = {res.value:.15g}")
-        print(f"error_estimate = {res.error_estimate:.3g}")
-        print(f"evaluations    = {res.evaluations}")
-        print(f"converged      = {res.converged}")
-    return 0
+    outputs = {"value": res.value, "error_estimate": res.error_estimate,
+               "evaluations": res.evaluations, "converged": res.converged}
+    doc = _doc("integrate", {"f": args.f, "a": args.a, "b": args.b, "tol": args.tol}, outputs)
+    return _Output(doc, _key_value_rows(outputs), _integrate_lines(args, res), 0)
 
 
-def _run_maxc(args) -> int:
-    _interval_args(args)
-    f = parse(args.f)
-    value = chains.max_feasible_c(f, args.a, args.b)
-    doc = {
-        "command": "maxc",
-        "version": __version__,
-        "inputs": {"f": args.f, "a": args.a, "b": args.b},
-        "outputs": {"max_c": value},
-        "violations": [],
-    }
-    if args.json:
-        _emit_json(doc)
-    elif args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        writer.writerow(["max_c", _fmt(value)])
-    else:
-        print(f"max feasible c for {args.f} on [{args.a:g}, {args.b:g}]: {value:.15g}")
-    return 0
+def _integrate_lines(args, res):
+    yield f"integral of {args.f} over [{args.a:g}, {args.b:g}]"
+    yield f"value          = {res.value:.15g}"
+    yield f"error_estimate = {res.error_estimate:.3g}"
+    yield f"evaluations    = {res.evaluations}"
+    yield f"converged      = {res.converged}"
 
 
-_DRIVERS = {
-    "chain": _run_chain,
-    "certify": _run_certify,
-    "theorem2": _run_theorem2,
-    "sweep": _run_sweep,
-    "integrate": _run_integrate,
-    "maxc": _run_maxc,
-}
+def _run_maxc(args) -> _Output:
+    value = chains.max_feasible_c(parse(args.f), args.a, args.b)
+    outputs = {"max_c": value}
+    doc = _doc("maxc", {"f": args.f, "a": args.a, "b": args.b}, outputs)
+    return _Output(doc, _key_value_rows(outputs), _maxc_lines(args, value), 0)
+
+
+def _maxc_lines(args, value: float):
+    yield f"max feasible c for {args.f} on [{args.a:g}, {args.b:g}]: {value:.15g}"
+
+
+_DRIVERS = {"chain": _run_chain, "certify": _run_certify, "theorem2": _run_theorem2,
+            "sweep": _run_sweep, "integrate": _run_integrate, "maxc": _run_maxc}
+
+
+def _join_negative_values(argv: List[str]) -> List[str]:
+    """Spell ``--opt -1e-3`` as ``--opt=-1e-3``: argparse takes a token that starts
+    with '-' for an option unless it is a plain decimal such as -1 or -0.5."""
+    joined: List[str] = []
+    for token in argv:
+        option = joined[-1] if joined else ""
+        if option.startswith("--") and "=" not in option and _is_negative_number(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _is_negative_number(token: str) -> bool:
+    if not token.startswith("-"):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        return _DRIVERS[args.command](args)
-    except (
-        ParseError,
-        DomainError,
-        EvaluationError,
-        NotPositiveError,
-        chains.NotLogConvexError,
-        IntegrandError,
-        ValueError,
-    ) as exc:
+        out = _DRIVERS[args.command](args)
+        report = dumps_canonical(out.doc) + "\n"
+        if args.json:
+            text = report
+        elif args.csv:
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerows([_fmt(value) for value in row] for row in out.rows)
+            text = buffer.getvalue()
+        else:
+            text = "".join(line + "\n" for line in out.lines)
+    except (ExpressionError, NotPositiveError, chains.NotLogConvexError, IntegrandError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if getattr(args, "out", None):
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(report)
+    sys.stdout.write(text)
+    return out.code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -226,11 +226,10 @@ def _run_case(case, tol, margin_tol, grid_n, refine_rounds, certificate, c=None,
 
     try:
         m = chains._means(f, a, b, tol)
-    except _CASE_ERRORS:
-        m = None
-    if m is not None:
         dm = chains._dm_assemble(f, a, b, m, margin_tol)
         outcomes[KIND_DM], margins[KIND_DM], pairs[KIND_DM] = _chain_outcome(dm)
+    except _CASE_ERRORS:
+        m = None
     if m is not None and c is not None:
         try:
             modulus = chains._modulus(c)

@@ -1,5 +1,8 @@
 """Log-convexity certifier tests: defect ratios, grid estimates, checks."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -555,6 +558,20 @@ def test_check_monotone_in_c():
     assert check_modulus(EXP_X2, 0.0, 1.0, c_ok, grid_n=24).ok
     for factor in (0.5, 0.1, 0.01):
         assert check_modulus(EXP_X2, 0.0, 1.0, c_ok * factor, grid_n=24).ok
+
+
+@pytest.mark.parametrize(
+    "a, b, message", [(0.0, math.inf, "need a < b"), (-1e308, 1e308, "need a finite width")]
+)
+def test_an_infinite_or_overflowing_interval_is_refused_before_sampling(a, b, message):
+    from hhcert.chains import dragomir_mond_chain
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (estimate_modulus, lambda f, a, b: check_modulus(f, a, b, 0.5),
+                      dragomir_mond_chain):
+            with pytest.raises(ValueError, match=message):
+                check(EXP_X, a, b)
 
 
 def test_check_requires_positive_modulus():

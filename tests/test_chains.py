@@ -430,3 +430,20 @@ def test_chains_hold_at_the_exact_modulus_of_exp_quadratic():
         )
         assert theorem1_chain(f, a, b, c_true).holds
         assert theorem2_bound(f, a, b, c_true).holds_corrected
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: theorem1_chain(EXP_X2, 0.0, 2.0, 1e308),
+         r"term midpoint_plus_correction is inf at c=1e\+308"),
+        (lambda: theorem2_bound(EXP_X2, 0.0, 1.0, 1e200), r"term rhs_corrected is inf at c=1e\+200"),
+        (lambda: theorem1_chain(EXP_X2, 0.0, 1.0, math.inf), "modulus must be finite"),
+        (lambda: theorem2_bound(EXP_X2, 0.0, 1.0, math.inf), "modulus must be finite"),
+    ],
+)
+def test_no_verdict_rests_on_a_non_finite_term(check, message):
+    # the verdict tolerance scales with the largest term, so an infinite term
+    # would pass any margin
+    with pytest.raises(ValueError, match=message):
+        check()

@@ -1,11 +1,14 @@
 """CLI tests: exit codes, report formats, determinism."""
 
+import csv
+import io
 import json
 import math
+from collections import Counter
 
 import pytest
 
-from hhcert.cli import main
+from hhcert.cli import _fmt, main
 from hhcert.report import dumps_canonical
 
 
@@ -85,6 +88,46 @@ def test_certify_beyond_the_triple_budget_exits_two(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error:")
     assert "32000000000 triples" in err and str(2**28) in err
+
+
+def formats(capsys, *argv):
+    """(exit code, stdout, stderr) of argv as text, as --json and as --csv."""
+    return [run(capsys, *argv, *flag) for flag in ([], ["--json"], ["--csv"])]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chain", "--f", "exp(x^2)", "--a", "0", "--b", "2", "--which", "t1", "--c", "1e308"],
+         "term midpoint_plus_correction is inf at c=1e+308"),
+        (["chain", "--f", "exp(x^2)", "--a", "0", "--b", "1", "--which", "t1", "--c", "inf"],
+         "modulus must be finite, got inf"),
+        (["theorem2", "--f", "exp(x^2)", "--a", "0", "--b", "1", "--c", "1e200"],
+         "term rhs_corrected is inf at c=1e+200"),
+        (["theorem2", "--f", "exp(x^2)", "--a", "0", "--b", "1", "--c", "inf"],
+         "modulus must be finite, got inf"),
+        (["certify", "--f", "exp(x)", "--a", "0", "--b", "inf"], "need a < b"),
+        (["certify", "--f", "exp(x)", "--a", "-1e308", "--b", "1e308"], "need a finite width"),
+        # c_star overflows: text once printed inf and exited 0
+        (["certify", "--f", "1e300*exp(1e20*x^2)", "--a", "0", "--b", "1e-10", "--grid", "16"],
+         "refusing to serialize non-finite value inf"),
+    ],
+)
+def test_a_report_that_fails_exits_two_alike_in_every_format(capsys, argv, message):
+    results = formats(capsys, *argv)
+    for code, out, err in results:
+        assert (code, out, err) == (2, "", results[0][2])
+    assert results[0][2].startswith("error: ") and message in results[0][2]
+
+
+def test_a_negative_value_may_use_exponent_notation(capsys):
+    argv = ["certify", "--f", "exp(x^2)", "--b", "1", "--grid", "16", "--json"]
+    spaced = run(capsys, *argv, "--a", "-1e-3")
+    assert spaced == run(capsys, *argv, "--a=-1e-3")
+    assert spaced[0] == 0 and json.loads(spaced[1])["inputs"]["a"] == -1e-3
+    code, out, err = run(capsys, "theorem2", "--f", "exp(x^2)", "--a", "0", "--b", "1",
+                         "--c", "-1e-3")
+    assert (code, out, err) == (2, "", "error: modulus must be nonnegative, got -0.001\n")
 
 
 def test_usage_error_exits_two(capsys):
@@ -220,6 +263,50 @@ def test_sweep_csv_exit_code_tracks_violations(capsys):
                        "--seed", "33", "--csv")
     assert code == 1
     assert any(",false," in line for line in out.splitlines())
+
+
+# --------------------------------------------------------------------------
+# one document, three formats
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--f", "exp(x^2)", "--a", "0", "--b", "1", "--which", "classical"],
+        ["chain", "--f", "exp(-x^2)", "--a", "0", "--b", "1", "--which", "dm"],
+        ["chain", "--f", "1", "--a", "0", "--b", "1", "--which", "t1", "--c", "1"],
+        ["certify", "--f", "exp(x^2)", "--a", "0", "--b", "1", "--grid", "16", "--refine", "1"],
+        ["theorem2", "--f", "exp(x^2)", "--a", "0", "--b", "1", "--c", "0.25", "--form", "both"],
+        ["theorem2", "--f", "exp(x)", "--a", "0", "--b", "1", "--c", "0.5", "--form", "both"],
+        ["integrate", "--f", "x^2", "--a", "0", "--b", "1"],
+        ["maxc", "--f", "exp(x^2)", "--a", "0", "--b", "1"],
+        ["sweep", "--families", "scaled_power", "--cases", "8", "--seed", "33"],
+    ],
+)
+def test_every_format_renders_the_one_document(capsys, argv):
+    (text_code, text, _), (code, out, _), (csv_code, csv_out, _) = formats(capsys, *argv)
+    assert text_code == code == csv_code and text
+    outputs = json.loads(out)["outputs"]
+    rows = list(csv.reader(io.StringIO(csv_out)))
+    if argv[0] == "chain":
+        margins = outputs["margins"] + [None]
+        assert rows == [["term_index", "term_name", "value", "margin_to_next"]] + [
+            [str(i), name, _fmt(value), _fmt(margin)]
+            for i, ((name, value), margin) in enumerate(zip(outputs["terms"], margins))
+        ]
+    elif argv[0] == "sweep":
+        outcome = {"true": "holds", "false": "violated", "na": "not_applicable"}
+        tally = Counter((outcome[row[6]], row[5]) for row in rows[1:])
+        counts = {(key, kind): n for key in outcome.values() for kind, n in outputs[key].items()}
+        assert tally == +Counter(counts) and sum(tally.values()) == 4 * outputs["cases_run"]
+    else:
+        expected = [["key", "value"]]
+        for key, value in outputs.items():
+            if key == "witness":
+                expected += [[f"witness_{n}", _fmt(v)] for n, v in zip(("x", "y", "lam"), value)]
+            else:
+                expected.append([key, _fmt(value)])
+        assert rows == expected
 
 
 # --------------------------------------------------------------------------

@@ -133,6 +133,14 @@ def test_case_without_modulus_skips_strengthened_checks():
     assert result.outcomes[KIND_DM] == "holds"
 
 
+def test_a_case_with_a_non_finite_term_is_not_applicable(monkeypatch):
+    # an infinite term would pass any margin; the case gets no verdict instead
+    means = chains._means
+    monkeypatch.setattr(chains, "_means", lambda *args: means(*args)._replace(mean_f=np.inf))
+    result = run_case(constant_case(), c=0.1)
+    assert all(result.outcomes[kind] == "not_applicable" for kind in CHAIN_KINDS)
+
+
 def test_custom_case_with_non_positive_function_is_not_applicable():
     case = CaseSpec(
         family="custom", parameters=(), a=-1.0, b=1.0, seed=0, function_text="x"
