@@ -51,6 +51,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .expr import Expression
+from .quadrature import _validate_interval
 
 __all__ = [
     "ZERO_TOLERANCE",
@@ -134,17 +135,6 @@ def _positive_values(f: Expression, pts: np.ndarray) -> np.ndarray:
     raise NotPositiveError(
         f"f(x) = {value!r} <= 0 at x={bad!r}; log-convexity does not apply", x=bad, value=value
     )
-
-
-def _validate_interval(a: float, b: float) -> Tuple[float, float]:
-    """a and b as floats; refused unless a < b are finite and so is the width b - a."""
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
-    if not math.isfinite(b - a):
-        raise ValueError(f"need a finite width b - a, got a={a!r}, b={b!r}")
-    return a, b
 
 
 def log_defect(f: Expression, x: float, y: float, lam: float) -> float:
@@ -373,9 +363,9 @@ def estimate_modulus(
     local search in boxes centered on the running witness, each box half
     the width of the previous one (clipped to the domain).  c_star is the
     running minimum over everything sampled, so extra rounds never raise it.
-    Raises ValueError unless a < b are finite with a finite width b - a, and
+    Raises ValueError unless a < b are finite with a finite width b - a,
     when the refine_rounds + 1 grids of grid_n^3 triples, each counted as at
-    least 2**13, exceed TRIPLE_BUDGET.
+    least 2**13, exceed TRIPLE_BUDGET, and when c_star is not finite.
     """
     a, b = _validate_interval(a, b)
     if grid_n < 3:
@@ -400,6 +390,8 @@ def estimate_modulus(
         if value < best:
             best, witness = value, candidate
 
+    if not math.isfinite(best):
+        raise ValueError(f"the sampled modulus c_star is {best!r}; no certificate can rest on it")
     if best < 0.0:
         status = CertStatus.NOT_LOG_CONVEX
     elif best <= ZERO_TOLERANCE:

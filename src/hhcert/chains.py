@@ -37,12 +37,13 @@ therefore equals terms 1, 3, 4, 5, 6 of the six-term chain bit for bit by
 construction: the same numbers, plus exact additions of 0.0.  The classical
 chain needs no positivity and uses ``mean_integral``.
 
-Verdicts use a margin tolerance scaled by max(1, largest |term|), and each
-quadrature row scales its absolute tolerance by a bound on the row's
-magnitude, so the one-digit gap between integral accuracy and verdict
-tolerance survives functions of any size.  A non-finite term would make
-that tolerance infinite and pass any margin, so it raises a ValueError
-naming the term and c instead, and c itself must be finite.
+Verdicts (the product bound's as the chain lhs <= rhs) use a margin
+tolerance scaled by max(1, largest |term|), and each quadrature row scales
+its absolute tolerance by a bound on the row's magnitude, so the one-digit
+gap between integral accuracy and verdict tolerance survives functions of
+any size.  A non-finite term would make that tolerance infinite and pass
+any margin, so it raises a ValueError naming the term and c instead, and c
+itself must be finite.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import means
-from .certify import _positive_values, _validate_interval
+from .certify import _positive_values
 from .expr import Expression
-from .quadrature import integrate, mean_integral
+from .quadrature import _validate_interval, integrate, mean_integral
 
 __all__ = [
     "ChainReport",
@@ -348,11 +349,9 @@ def _theorem2_assemble(f, a, b, c, m: _Means, margin_tol, form) -> Theorem2Repor
             m.end_avg + m.log_mean
         )
 
-    named = [("mean_product_integral", lhs), ("rhs_corrected", rhs_corrected),
-             ("rhs_as_printed", rhs_as_printed)]
-    _require_finite(named, c)
-    tol_eff = margin_tol * max(1.0, abs(lhs), abs(rhs_corrected))
-    margin_corrected = rhs_corrected - lhs
+    corrected = _report(f, a, b, c, [("mean_product_integral", lhs),
+                                     ("rhs_corrected", rhs_corrected)], margin_tol)
+    _require_finite([("rhs_as_printed", rhs_as_printed)], c)
     margin_as_printed = None if rhs_as_printed is None else rhs_as_printed - lhs
     return Theorem2Report(
         function_text=str(f),
@@ -362,16 +361,16 @@ def _theorem2_assemble(f, a, b, c, m: _Means, margin_tol, form) -> Theorem2Repor
         lhs=lhs,
         rhs_corrected=rhs_corrected,
         rhs_as_printed=rhs_as_printed,
-        holds_corrected=bool(margin_corrected >= -tol_eff),
+        holds_corrected=corrected.holds,
         holds_as_printed=(
-            None if margin_as_printed is None else bool(margin_as_printed >= -tol_eff)
+            None if margin_as_printed is None else bool(margin_as_printed >= -corrected.tol)
         ),
         printed_applicable=printed_applicable,
         bracket_value=bracket,
         k=k,
-        margin_corrected=margin_corrected,
+        margin_corrected=corrected.min_margin,
         margin_as_printed=margin_as_printed,
-        tol=tol_eff,
+        tol=corrected.tol,
     )
 
 

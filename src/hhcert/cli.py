@@ -33,7 +33,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence
 from . import __version__, chains, harness
 from .certify import NotPositiveError, estimate_modulus
 from .expr import ExpressionError, parse
-from .quadrature import IntegrandError, integrate
+from .quadrature import IntegrandError, _integrate_expression
 from .report import dumps_canonical, format_float
 
 __all__ = ["main", "build_parser"]
@@ -286,12 +286,7 @@ def _sweep_lines(rep: harness.SweepReport):
 
 
 def _run_integrate(args) -> _Output:
-    f = parse(args.f)
-    try:
-        res = integrate(f.eval_array, args.a, args.b, args.tol)
-    except IntegrandError as exc:
-        f(exc.x)  # surface the precise domain error
-        raise
+    res = _integrate_expression(parse(args.f), args.a, args.b, args.tol)
     outputs = {"value": res.value, "error_estimate": res.error_estimate,
                "evaluations": res.evaluations, "converged": res.converged}
     doc = _doc("integrate", {"f": args.f, "a": args.a, "b": args.b, "tol": args.tol}, outputs)

@@ -15,8 +15,10 @@ that does not depend on the batch.  An integrand may return k rows, one
 per function, with k tolerances; a panel is then accepted only when every
 row meets its own share (or roundoff floor).
 
-Two guards keep the refinement honest:
+Three guards keep the refinement honest:
 
+* a panel whose K15 sum or error estimate is not finite (the integral
+  overflows; no split could accept it) raises a ValueError, not a warning;
 * a panel whose raw estimate is already below ~50 eps times the panel's
   absolute integral is roundoff-limited and is not split further
   (bisection cannot beat double precision);
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -112,6 +114,16 @@ class IntegrandError(Exception):
         self.x = x
 
 
+def _validate_interval(a: float, b: float) -> Tuple[float, float]:
+    """a and b as floats; refused unless a < b are finite and so is the width b - a."""
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
+        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
+    if not math.isfinite(b - a):
+        raise ValueError(f"need a finite width b - a, got a={a!r}, b={b!r}")
+    return a, b
+
+
 def _panels(g: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """K15 values, |K15 - G7| estimates and roundoff floors of the panels [lo, hi].
 
@@ -131,10 +143,21 @@ def _panels(g: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
     terms = vals.reshape(vals.shape[:-1] + (lo.size, 1, 15)) * _WEIGHTS
     sums = np.add.reduce(terms, axis=-1) * halfw[:, None]
     k15, g7 = sums[..., 0], sums[..., 1]
+    raw = np.abs(k15 - g7)
     resabs = np.add.reduce(np.abs(terms[..., 0, :]), axis=-1) * halfw
-    return k15, np.abs(k15 - g7), 50.0 * _EPS * resabs
+    # |K15 - G7| is not finite where K15 is not; only a failure locates the panel
+    if not math.isfinite(np.add.reduce(raw, axis=None)):
+        finite = np.isfinite(raw).reshape(-1, lo.size).all(axis=0)
+        i = int(np.argmin(finite))
+        if not finite[i]:  # else finite estimates overflowed only in their sum
+            raise ValueError(
+                f"the integral overflows on the panel [{float(lo[i])!r}, {float(hi[i])!r}]: "
+                f"K15 sum {k15[..., i].tolist()!r}, error estimate {raw[..., i].tolist()!r}"
+            )
+    return k15, raw, 50.0 * _EPS * resabs
 
 
+@np.errstate(all="ignore")  # each non-finite value is named by an error instead
 def integrate(
     g: Callable,
     a: float,
@@ -148,12 +171,11 @@ def integrate(
     matching array of values (plain ufunc arithmetic in a lambda is
     enough).  It may instead return a (k, n) array, one row per integrand;
     ``tol`` then holds k tolerances (or one for all rows), and ``value``
-    and ``error_estimate`` of the result are arrays of k entries.
+    and ``error_estimate`` of the result are arrays of k entries.  Raises
+    ValueError on an overflow or an interval refused by ``_validate_interval``,
+    the rule of the certifier and of every chain.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
-        raise ValueError(f"integration interval must satisfy a < b, got [{a!r}, {b!r}]")
+    a, b = _validate_interval(a, b)
     tols = np.array(tol, dtype=float, ndmin=1)
     if tols.ndim > 1 or not tols.min() > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -194,12 +216,15 @@ def integrate(
     return QuadratureResult(value, err, evaluations, bool((err <= tols).all()))
 
 
+def _integrate_expression(f: Expression, a: float, b: float, tol: float) -> QuadratureResult:
+    """``integrate`` of f; a non-finite value raises the domain error behind it."""
+    try:
+        return integrate(f.eval_array, a, b, tol)
+    except IntegrandError as exc:
+        f(exc.x)  # the scalar path raises the precise domain error
+        raise  # pragma: no cover - scalar evaluation succeeded unexpectedly
+
+
 def mean_integral(f: Expression, a: float, b: float, tol: float = 1e-10) -> float:
     """(1/(b-a)) * integral of f over [a, b]."""
-    try:
-        result = integrate(f.eval_array, a, b, tol)
-    except IntegrandError as exc:
-        # Re-evaluate through the scalar path for the precise domain error.
-        f(exc.x)
-        raise  # pragma: no cover - scalar evaluation succeeded unexpectedly
-    return result.value / (b - a)
+    return _integrate_expression(f, a, b, tol).value / (b - a)

@@ -2,13 +2,16 @@
 
 JSON is emitted with insertion-ordered keys and every float formatted with
 17 significant digits, which round-trips doubles exactly: parsing the
-output and re-serializing it reproduces the bytes.  CSV uses the same
-float formatting.
+output and re-serializing it reproduces the bytes.  Strings are escaped
+as ``json.dumps(s, ensure_ascii=False)`` escapes them: only '"', '\\' and
+the controls U+0000-U+001F, so any other character is written as itself.
+CSV uses the same float formatting.
 """
 
 from __future__ import annotations
 
 import math
+from json.encoder import encode_basestring
 from typing import Any
 
 __all__ = ["format_float", "dumps_canonical"]
@@ -21,27 +24,6 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
 def dumps_canonical(obj: Any) -> str:
     """Serialize dicts/lists/strings/numbers/bools/None deterministically."""
     if obj is None:
@@ -51,13 +33,13 @@ def dumps_canonical(obj: Any) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return _escape(obj)
+        return encode_basestring(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, dict):
-        items = ",".join(f"{_escape(str(k))}:{dumps_canonical(v)}" for k, v in obj.items())
+        items = ",".join(f"{dumps_canonical(str(k))}:{dumps_canonical(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"

@@ -565,13 +565,20 @@ def test_check_monotone_in_c():
 )
 def test_an_infinite_or_overflowing_interval_is_refused_before_sampling(a, b, message):
     from hhcert.chains import dragomir_mond_chain
+    from hhcert.quadrature import integrate
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for check in (estimate_modulus, lambda f, a, b: check_modulus(f, a, b, 0.5),
-                      dragomir_mond_chain):
+                      dragomir_mond_chain, lambda f, a, b: integrate(f.eval_array, a, b)):
             with pytest.raises(ValueError, match=message):
                 check(EXP_X, a, b)
+
+
+def test_an_infinite_c_star_is_refused_by_name():
+    # every sampled ratio overflows; the certificate once read inf, "certified_positive"
+    with pytest.raises(ValueError, match="the sampled modulus c_star is inf"):
+        estimate_modulus(parse("1e300*exp(1e20*x^2)"), 0.0, 1e-10, 16)
 
 
 def test_check_requires_positive_modulus():

@@ -1,6 +1,7 @@
 """Chain evaluation tests: term values, orderings, degenerations, J, bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -447,3 +448,26 @@ def test_no_verdict_rests_on_a_non_finite_term(check, message):
     # would pass any margin
     with pytest.raises(ValueError, match=message):
         check()
+
+
+def test_an_overflowing_integral_stops_the_chain_by_name(monkeypatch):
+    # the product row f(x) f(a+b-x) = 1e300 times the half width 1e160
+    # overflows in every panel; refinement once split them down to depth 50
+    class Runaway(BaseException):
+        pass
+
+    evaluate_array, calls = hhcert.expr.evaluate_array, []
+
+    def bounded_evaluate_array(f, xs):
+        calls.append(f)
+        if len(calls) > 300:
+            raise Runaway
+        return evaluate_array(f, xs)
+
+    monkeypatch.setattr(hhcert.expr, "evaluate_array", bounded_evaluate_array)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"the integral overflows on the panel "
+                                             r"\[-1e\+160, 1e\+160\]: K15 sum \[inf, "):
+            dragomir_mond_chain(parse("1e150"), -1e160, 1e160)
+    assert len(calls) < 10

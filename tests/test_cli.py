@@ -110,7 +110,12 @@ def formats(capsys, *argv):
         (["certify", "--f", "exp(x)", "--a", "-1e308", "--b", "1e308"], "need a finite width"),
         # c_star overflows: text once printed inf and exited 0
         (["certify", "--f", "1e300*exp(1e20*x^2)", "--a", "0", "--b", "1e-10", "--grid", "16"],
-         "refusing to serialize non-finite value inf"),
+         "the sampled modulus c_star is inf"),
+        (["integrate", "--f", "x", "--a", "1", "--b", "0"], "need a < b, got a=1.0, b=0.0"),
+        (["integrate", "--f", "x", "--a", "-1e308", "--b", "1e308"], "need a finite width"),
+        # the first panels overflow: the report once failed only on serializing inf
+        (["integrate", "--f", "1e150", "--a", "-1e160", "--b", "1e160"],
+         "the integral overflows on the panel [-1e+160, 1e+160]: K15 sum inf"),
     ],
 )
 def test_a_report_that_fails_exits_two_alike_in_every_format(capsys, argv, message):

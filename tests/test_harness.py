@@ -34,26 +34,36 @@ def constant_case() -> CaseSpec:
 # case generation
 # --------------------------------------------------------------------------
 
-def test_an_evaluator_fault_in_case_generation_is_raised_not_redrawn(monkeypatch):
-    # eval_array reports domain problems as nan/inf and does not raise for
-    # them, so an exception is a fault: it must leave generate_case instead
-    # of sending the rejection loop into another draw, forever if it repeats
+def test_generated_cases_are_positive_by_construction_without_an_evaluator_call(monkeypatch):
     import hhcert.expr
 
-    class Redrawn(BaseException):
-        pass
+    evaluate_array, calls = hhcert.expr.evaluate_array, []
+    monkeypatch.setattr(
+        hhcert.expr, "evaluate_array", lambda f, xs: calls.append(f) or evaluate_array(f, xs)
+    )
+    rng = np.random.default_rng(20260809)
+    cases = [generate_case(family, rng) for family in ALL_FAMILIES for _ in range(300)]
+    assert calls == []
+    for case in cases:
+        values = case.expression().eval_array(np.linspace(case.a, case.b, 1025))
+        assert np.all(np.isfinite(values)) and np.all(values > 0.0), case
+
+
+def test_an_evaluator_fault_inside_a_sweep_is_raised_not_recorded(monkeypatch):
+    # eval_array reports domain problems as nan/inf and does not raise for
+    # them, so an exception is a fault: it must leave the sweep instead of
+    # being tallied as a not_applicable case
+    import hhcert.expr
 
     calls = []
 
     def faulty_evaluator(f, xs):
         calls.append(f)
-        if len(calls) == 1:
-            raise RuntimeError("evaluator fault")
-        raise Redrawn
+        raise RuntimeError("evaluator fault")
 
     monkeypatch.setattr(hhcert.expr, "evaluate_array", faulty_evaluator)
     with pytest.raises(RuntimeError, match="evaluator fault"):
-        generate_case("exp_quadratic", np.random.default_rng(1))
+        sweep(3, seed=1)
     assert len(calls) == 1
 
 

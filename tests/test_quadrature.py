@@ -8,6 +8,7 @@ integral of e^{x^2} against its Maclaurin series sum_n 1/(n! (2n+1)).
 from fractions import Fraction
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,16 +157,36 @@ def test_result_invariants():
     assert res.converged and res.error_estimate <= 1e-11
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_integrand_domain_error_carries_abscissa():
-    # raw lambda without errstate shielding: the warning is the test's own
-    with pytest.raises(IntegrandError) as err:
-        integrate(lambda xs: np.log(xs), -1.0, 1.0, tol=1e-8)
+    # a raw lambda, yet no numpy warning: the error names the abscissa instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrandError) as err:
+            integrate(lambda xs: np.log(xs), -1.0, 1.0, tol=1e-8)
     assert -1.0 <= err.value.x <= 1.0
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_an_overflowing_integral_names_its_first_panel(rows):
+    # every panel's K15 sum overflows, so its error is inf - inf = nan and no
+    # split could ever accept it; refinement once ran down to the depth cap
+    def g(xs):
+        big = np.full_like(xs, 1e150)
+        return big if rows == 1 else np.array((np.ones_like(xs), big))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            integrate(g, -1e160, 1e160)
+    # plain floats, one per row, and the first panel: the whole interval
+    sums = "inf, error estimate nan" if rows == 1 else "[2e+160, inf], error estimate [0.0, nan]"
+    assert str(err.value) == (
+        f"the integral overflows on the panel [-1e+160, 1e+160]: K15 sum {sums}"
+    )
+
+
 def test_invalid_interval_and_tolerance():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need a < b, got a=1\.0, b=0\.0$"):
         integrate(lambda xs: xs, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(lambda xs: xs, 0.0, 1.0, tol=0.0)

@@ -31,6 +31,13 @@ def test_string_escaping():
     tricky = 'quote " backslash \\ newline \n tab \t bell \x07'
     text = dumps_canonical({"s": tricky})
     assert json.loads(text)["s"] == tricky
+    controls = "".join(map(chr, range(0x20)))
+    for s in (controls, '"', "\\", "\x7f", "\u2028", "\U0001f600", tricky + controls):
+        text = dumps_canonical({s: [s]})
+        assert json.loads(text) == {s: [s]}
+        assert dumps_canonical(json.loads(text)) == text
+        # only '"', '\\' and the controls are escaped, as json.dumps does
+        assert text == json.dumps({s: [s]}, ensure_ascii=False, separators=(",", ":"))
 
 
 def test_reserialization_is_a_fixed_point():
