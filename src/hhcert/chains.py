@@ -43,7 +43,7 @@ its absolute tolerance by a bound on the row's magnitude, so the one-digit
 gap between integral accuracy and verdict tolerance survives functions of
 any size.  A non-finite term would make that tolerance infinite and pass
 any margin, so it raises a ValueError naming the term and c instead, and c
-itself must be finite.
+itself must be finite, as must (b-a)^2 where a correction scales with it.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import means
-from .certify import _positive_values
-from .expr import Expression
-from .quadrature import _validate_interval, integrate, mean_integral
+from .certify import NotPositiveError, _positive_values
+from .expr import Expression, ExpressionError
+from .quadrature import IntegrandError, _validate_interval, integrate, mean_integral
 
 __all__ = [
     "ChainReport",
@@ -83,6 +83,11 @@ class NotLogConvexError(Exception):
     def __init__(self, message: str, report: "ChainReport"):
         super().__init__(message)
         self.report = report
+
+
+# Every error that refuses an input instead of judging it: the CLI exits 2 on
+# these, and a sweep records the case's checks as not_applicable.
+_REFUSALS = (ExpressionError, NotPositiveError, NotLogConvexError, IntegrandError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,11 @@ def _means(f: Expression, a: float, b: float, tol: float) -> _Means:
         return np.array((fx, np.log(fx), np.sqrt(product), product))
 
     tols = tol * np.array([scale, log_scale, scale, scale * scale])
-    mean_f, mean_log, mean_geo, mean_prod = (integrate(rows, a, b, tols).value / (b - a)).tolist()
+    try:
+        sums = integrate(rows, a, b, tols).value
+    except IntegrandError as exc:  # rows has checked f itself, so the product overflowed
+        raise ValueError(f"f(x)*f(a+b-x) overflows at x={exc.x!r}") from exc
+    mean_f, mean_log, mean_geo, mean_prod = (sums / (b - a)).tolist()
     log_mean, end_avg = means.logarithmic_mean(fa, fb), means.arithmetic_mean(fa, fb)
     return _Means(fa, fb, fm, mean_f, math.exp(mean_log), mean_geo, mean_prod, log_mean, end_avg)
 
@@ -163,6 +172,14 @@ def _modulus(c: float) -> float:
     if c == math.inf:
         raise ValueError(f"modulus must be finite, got {c!r}")
     return c
+
+
+def _squared_width(a: float, b: float) -> float:
+    """(b - a)^2, refused by name where it overflows."""
+    try:
+        return (b - a) ** 2
+    except OverflowError:
+        raise ValueError(f"(b - a)^2 overflows for a={a!r}, b={b!r}") from None
 
 
 def _require_finite(named_terms, c: float) -> None:
@@ -248,7 +265,7 @@ def dragomir_mond_chain(
 
 
 def _theorem1_assemble(f, a, b, c, m: _Means, margin_tol) -> ChainReport:
-    q2 = c * (b - a) ** 2
+    q2 = c * _squared_width(a, b)
     terms = [
         ("midpoint_plus_correction", m.fm + q2 / 12.0),
         ("mean_geometric_reflected", m.mean_geometric),
@@ -337,7 +354,7 @@ def _theorem2_assemble(f, a, b, c, m: _Means, margin_tol, form) -> Theorem2Repor
     fa, fb, lhs = m.fa, m.fb, m.mean_product
     bracket = fb * closed_form_J(fa / fb) + fa * closed_form_J(fb / fa)
     k = math.log(fa / fb)
-    q2 = c * (b - a) ** 2
+    q2 = c * _squared_width(a, b)
     rhs_corrected = fa * fb + q2 * q2 / 30.0 - q2 * bracket
 
     diff = fb - fa
@@ -406,7 +423,7 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
             report=report,
         )
 
-    w2 = (b - a) ** 2
+    w2 = _squared_width(a, b)
     base = (m.fm, m.mean_geometric, m.mean_f, m.log_mean, m.end_avg)
     terms = tuple(zip(base, (w2 / 12.0, 0.0, 0.0, -w2 / 6.0, -w2 / 6.0)))  # p + q c
     pieces = [(tol, 0.0)]

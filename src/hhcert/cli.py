@@ -15,8 +15,8 @@ key order), as CSV rows (``--csv``: one per chain term, per sweep case and
 chain kind, or per output key) or as text.  The document is serialized in
 every format, so the exit code never depends on the format flag: 0 all
 checks hold, 1 at least one inequality violation was found (still a
-successful run), 2 usage/parse/domain errors or a report with a
-non-finite number (message on stderr, nothing on stdout).  Intervals must
+successful run), 2 usage errors, a refused input (``chains._REFUSALS``) or
+a non-finite number (message on stderr, nothing on stdout).  Intervals must
 be finite with a finite width b - a; a negative value may follow its
 option in exponent notation (``--a -1e-3``).  Output is byte-identical
 across identical invocations.
@@ -31,9 +31,9 @@ import sys
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from . import __version__, chains, harness
-from .certify import NotPositiveError, estimate_modulus
-from .expr import ExpressionError, parse
-from .quadrature import IntegrandError, _integrate_expression
+from .certify import estimate_modulus
+from .expr import parse
+from .quadrature import _integrate_expression
 from .report import dumps_canonical, format_float
 
 __all__ = ["main", "build_parser"]
@@ -358,8 +358,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             text = buffer.getvalue()
         else:
             text = "".join(line + "\n" for line in out.lines)
-    except (ExpressionError, NotPositiveError, chains.NotLogConvexError, IntegrandError,
-            ValueError) as exc:
+    except chains._REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "out", None):

@@ -26,7 +26,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -133,8 +133,7 @@ class Expression:
 #
 #   expr   := term (('+'|'-') term)*
 #   term   := factor (('*'|'/') factor)*
-#   factor := '-' factor | power
-#   power  := atom ('^' factor)?
+#   factor := '-' factor | atom ('^' factor)?
 #   atom   := NUMBER | 'x' | 'e' | 'pi' | FUNC '(' expr ')' | '(' expr ')'
 # --------------------------------------------------------------------------
 
@@ -142,10 +141,40 @@ _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+# Deepest parenthesis nesting, and deepest tree, that ``parse`` accepts.  The
+# parser takes at most 5 stack frames a level and every tree walk (_walk,
+# _text, the dataclass __eq__, __hash__ and __repr__) at most 3, so each needs
+# about 500 frames at most, half of Python's default recursion limit.  The
+# canonical text of a tree has one parenthesis per node above a leaf, so every
+# tree that parses serializes to text that parses.
+_MAX_DEPTH = 100
+
+
+def _too_deep(what: str, position: int) -> ParseError:
+    return ParseError(f"{what} deeper than {_MAX_DEPTH} levels", position)
+
+
+def _height(position: int, left: int, right: int = 0) -> int:
+    """The height of a node over subtrees of heights ``left`` and ``right``; a leaf has 0."""
+    height = 1 + max(left, right)
+    if height > _MAX_DEPTH:
+        raise _too_deep("expression tree", position)
+    return height
+
+
 class _Parser:
+    """Each parse method returns (node, height).
+
+    ``parens`` counts the parentheses open at ``pos`` and ``above`` the Neg and
+    ``^`` nodes that will hold what is parsed there, so recursion stops before
+    either passes _MAX_DEPTH, and every node checks its height as it is built.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.parens = 0
+        self.above = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -161,53 +190,70 @@ class _Parser:
             raise ParseError(f"expected {ch!r}, got {got}", self.pos)
         self.pos += 1
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
+    def descend(self, parens: int, above: int, position: int) -> None:
+        self.parens += parens
+        self.above += above
+        if self.parens > _MAX_DEPTH:
+            raise _too_deep("parentheses nested", position)
+        if self.above > _MAX_DEPTH:
+            raise _too_deep("expression tree", position)
+
+    def parse_expr(self) -> Tuple[Node, int]:
+        node, height = self.parse_term()
         while True:
             self.skip_ws()
             op = self.peek()
-            if op in ("+", "-"):
-                self.pos += 1
-                node = BinOp(op, node, self.parse_term())
-            else:
-                return node
+            if op not in ("+", "-"):
+                return node, height
+            start = self.pos
+            self.pos += 1
+            right, right_height = self.parse_term()
+            node, height = BinOp(op, node, right), _height(start, height, right_height)
 
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
+    def parse_term(self) -> Tuple[Node, int]:
+        node, height = self.parse_factor()
         while True:
             self.skip_ws()
             op = self.peek()
-            if op in ("*", "/"):
-                self.pos += 1
-                node = BinOp(op, node, self.parse_factor())
-            else:
-                return node
+            if op not in ("*", "/"):
+                return node, height
+            start = self.pos
+            self.pos += 1
+            right, right_height = self.parse_factor()
+            node, height = BinOp(op, node, right), _height(start, height, right_height)
 
-    def parse_factor(self) -> Node:
+    def parse_factor(self) -> Tuple[Node, int]:
         self.skip_ws()
+        start = self.pos
         if self.peek() == "-":
+            self.descend(0, 1, start)
             self.pos += 1
-            return Neg(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self) -> Node:
-        base = self.parse_atom()
+            arg, height = self.parse_factor()
+            self.above -= 1
+            return Neg(arg), _height(start, height)
+        base, base_height = self.parse_atom()
         self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            return BinOp("^", base, self.parse_factor())
-        return base
+        if self.peek() != "^":
+            return base, base_height
+        start = self.pos
+        self.descend(0, 1, start)
+        self.pos += 1
+        exponent, height = self.parse_factor()
+        self.above -= 1
+        return BinOp("^", base, exponent), _height(start, base_height, height)
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> Tuple[Node, int]:
         self.skip_ws()
         ch = self.peek()
         if not ch:
             raise ParseError("unexpected end of input", self.pos)
         if ch == "(":
+            self.descend(1, 0, self.pos)
             self.pos += 1
-            node = self.parse_expr()
+            parsed = self.parse_expr()
             self.expect(")")
-            return node
+            self.parens -= 1
+            return parsed
         if ch.isdigit() or ch == ".":
             m = _NUMBER_RE.match(self.text, self.pos)
             if m is None:
@@ -217,7 +263,7 @@ class _Parser:
             value = float(m.group())
             if not math.isfinite(value):
                 raise ParseError("number literal out of double range", start)
-            return Num(value)
+            return Num(value), 0
         m = _IDENT_RE.match(self.text, self.pos)
         if m is None:
             raise ParseError(f"unexpected character {ch!r}", self.pos)
@@ -225,27 +271,33 @@ class _Parser:
         start = self.pos
         self.pos = m.end()
         if name == "x":
-            return Var()
+            return Var(), 0
         if name in _CONSTANTS:
-            return Const(name)
+            return Const(name), 0
         if name in _FUNCTIONS:
             self.expect("(")
-            arg = self.parse_expr()
+            self.descend(1, 0, self.pos - 1)
+            arg, height = self.parse_expr()
             self.expect(")")
-            return Call(name, arg)
+            self.parens -= 1
+            return Call(name, arg), _height(start, height)
         if name == "log":
             raise ParseError("ambiguous 'log' (write 'ln' for the natural logarithm)", start)
         raise ParseError(f"unknown identifier {name!r}", start)
 
 
 def parse(text: str) -> Expression:
-    """Parse ``text`` into an immutable :class:`Expression`."""
+    """Parse ``text`` into an immutable :class:`Expression`.
+
+    Text that nests parentheses, or builds a tree, deeper than 100 levels is
+    refused with a ParseError.
+    """
     if not isinstance(text, str):
         raise TypeError("expression text must be a string")
     if not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(text)
-    root = parser.parse_expr()
+    root, _ = parser.parse_expr()
     parser.skip_ws()
     if parser.pos != len(text):
         raise ParseError(f"unexpected character {text[parser.pos]!r}", parser.pos)

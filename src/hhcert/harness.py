@@ -12,11 +12,13 @@ in [-2, 2] and b - a >= 0.1; every generated f is positive by construction):
 
 Each sweep case gets its own substream spawned from one seed, so reports
 are bit-identical across reruns and independent of execution order.  A
-case's expression is parsed once and certified once, and all its chains
-are assembled from one quadrature pass.  The Dragomir-Mond chain runs for
-every case (it only needs positivity); the strengthened chain and the
-product bound run when the certifier reports a strictly positive modulus,
-at c = c_star * u with u drawn in (0, 1], or at a caller-forced c.
+sweep certifies each case once, draws c = c_star * u with u in (0, 1] for a
+strictly positive modulus, and passes c and the certificate to
+``run_case``, which parses the expression once and assembles every chain
+from one quadrature pass.  The Dragomir-Mond chain runs for every case (it
+only needs positivity); the strengthened chain and the product bound run
+when c is given.  A check that refuses its case (an error of
+``chains._REFUSALS``, on which the CLI exits 2) records not_applicable.
 Failures of the "as printed" product bound are tallied separately and
 never fail a sweep: they document a typeset discrepancy, not a property
 of f.
@@ -31,14 +33,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import chains
-from .certify import (
-    CertStatus,
-    ModulusCertificate,
-    NotPositiveError,
-    estimate_modulus,
-)
-from .expr import DomainError, EvaluationError, Expression, parse
-from .quadrature import IntegrandError
+from .certify import CertStatus, ModulusCertificate, estimate_modulus
+from .expr import Expression, parse
 
 __all__ = [
     "ALL_FAMILIES",
@@ -69,10 +65,6 @@ CHAIN_KINDS = (KIND_DM, KIND_T1, KIND_T2, KIND_T2_PRINTED)
 HOLDS = "holds"
 VIOLATED = "violated"
 NOT_APPLICABLE = "not_applicable"
-
-# Anything a single case can legitimately fail with; sweeps record these
-# as not_applicable and keep going.
-_CASE_ERRORS = (NotPositiveError, DomainError, EvaluationError, IntegrandError, ValueError)
 
 # Certifier resolution used inside sweeps; coarser than the certify-module
 # defaults so 500-case sweeps stay inside the desk-scale budget.  The grid
@@ -176,6 +168,15 @@ def _chain_outcome(report) -> Tuple[str, float, Tuple[str, str]]:
     return (HOLDS if report.holds else VIOLATED), report.min_margin, pair
 
 
+def _certify(case: CaseSpec, grid_n: int, refine_rounds: int) -> Optional[ModulusCertificate]:
+    """The case's modulus certificate, or None where the certifier refuses the case."""
+    f = case.expression()
+    try:
+        return estimate_modulus(f, case.a, case.b, grid_n, refine_rounds)
+    except chains._REFUSALS:
+        return None
+
+
 def run_case(
     case: CaseSpec,
     c: Optional[float] = None,
@@ -188,14 +189,10 @@ def run_case(
     """Certify one case and run every applicable chain check.
 
     The strengthened chain and the product bound run only when ``c`` is
-    given (sweeps pass c = c_star * u for certified-positive cases; tests
-    may force any c, including infeasible ones).
+    given: a sweep passes c = c_star * u for a certified-positive case, with
+    its certificate, and tests may force any c, including infeasible ones.
+    Without a certificate the case is certified here.
     """
-    return _run_case(case, tol, margin_tol, grid_n, refine_rounds, certificate, c=c)
-
-
-def _run_case(case, tol, margin_tol, grid_n, refine_rounds, certificate, c=None, u=None):
-    """``run_case``; with ``u`` given, c = c_star * u for a certified-positive case."""
     outcomes: Dict[str, str] = {kind: NOT_APPLICABLE for kind in CHAIN_KINDS}
     margins: Dict[str, Optional[float]] = {kind: None for kind in CHAIN_KINDS}
     pairs: Dict[str, Optional[Tuple[str, str]]] = {kind: None for kind in CHAIN_KINDS}
@@ -203,19 +200,13 @@ def _run_case(case, tol, margin_tol, grid_n, refine_rounds, certificate, c=None,
     f = case.expression()
     a, b = case.a, case.b
     if certificate is None:
-        try:
-            certificate = estimate_modulus(f, a, b, grid_n, refine_rounds)
-        except _CASE_ERRORS:
-            certificate = None
-    if u is not None and certificate is not None:
-        if certificate.status is CertStatus.CERTIFIED_POSITIVE:
-            c = certificate.c_star * u
+        certificate = _certify(case, grid_n, refine_rounds)
 
     try:
         m = chains._means(f, a, b, tol)
         dm = chains._dm_assemble(f, a, b, m, margin_tol)
         outcomes[KIND_DM], margins[KIND_DM], pairs[KIND_DM] = _chain_outcome(dm)
-    except _CASE_ERRORS:
+    except chains._REFUSALS:
         m = None
     if m is not None and c is not None:
         try:
@@ -230,7 +221,7 @@ def _run_case(case, tol, margin_tol, grid_n, refine_rounds, certificate, c=None,
                 outcomes[KIND_T2_PRINTED] = HOLDS if t2.holds_as_printed else VIOLATED
                 margins[KIND_T2_PRINTED] = t2.margin_as_printed
                 pairs[KIND_T2_PRINTED] = ("mean_product_integral", "rhs_as_printed")
-        except _CASE_ERRORS:
+        except chains._REFUSALS:
             pass
 
     return CaseResult(
@@ -275,9 +266,10 @@ def sweep_results(
         family = families[int(rng.integers(len(families)))] if len(families) > 1 else families[0]
         u = 1.0 - float(rng.random())  # in (0, 1]
         case = generate_case(family, rng, seed=index)
-        results.append(
-            _run_case(case, tol, margin_tol, grid_n, refine_rounds, certificate=None, u=u)
-        )
+        certificate = _certify(case, grid_n, refine_rounds)
+        positive = certificate is not None and certificate.status is CertStatus.CERTIFIED_POSITIVE
+        c = certificate.c_star * u if positive else None
+        results.append(run_case(case, c, tol, margin_tol, grid_n, refine_rounds, certificate))
     return tuple(results)
 
 

@@ -8,7 +8,12 @@ from collections import Counter
 
 import pytest
 
+from hhcert import chains, harness
+from hhcert.certify import NotPositiveError
+from hhcert.chains import NotLogConvexError
 from hhcert.cli import _fmt, main
+from hhcert.expr import ParseError
+from hhcert.quadrature import IntegrandError
 from hhcert.report import dumps_canonical
 
 
@@ -116,6 +121,19 @@ def formats(capsys, *argv):
         # the first panels overflow: the report once failed only on serializing inf
         (["integrate", "--f", "1e150", "--a", "-1e160", "--b", "1e160"],
          "the integral overflows on the panel [-1e+160, 1e+160]: K15 sum inf"),
+        # (b - a)^2 overflows: these once crashed with exit 1, the code of a violation
+        (["chain", "--f", "1", "--a", "-1e160", "--b", "1e160", "--which", "t1", "--c", "1"],
+         "(b - a)^2 overflows for a=-1e+160, b=1e+160"),
+        (["theorem2", "--f", "1", "--a", "-1e160", "--b", "1e160", "--c", "1"],
+         "(b - a)^2 overflows for a=-1e+160, b=1e+160"),
+        (["maxc", "--f", "1", "--a", "-1e160", "--b", "1e160"],
+         "(b - a)^2 overflows for a=-1e+160, b=1e+160"),
+        # so did text nested deeper than the stack allows
+        (["chain", "--f", "(" * 5000 + "x" + ")" * 5000, "--a", "0", "--b", "1", "--which", "dm"],
+         "parentheses nested deeper than 100 levels (position 100)"),
+        # f is finite; the product row f(x)*f(a+b-x) = 1e400 is not
+        (["chain", "--f", "1e200", "--a", "0", "--b", "1", "--which", "dm"],
+         "f(x)*f(a+b-x) overflows at x="),
     ],
 )
 def test_a_report_that_fails_exits_two_alike_in_every_format(capsys, argv, message):
@@ -123,6 +141,35 @@ def test_a_report_that_fails_exits_two_alike_in_every_format(capsys, argv, messa
     for code, out, err in results:
         assert (code, out, err) == (2, "", results[0][2])
     assert results[0][2].startswith("error: ") and message in results[0][2]
+
+
+def test_the_dm_chain_needs_no_squared_width_and_holds_on_a_wide_interval(capsys):
+    for code, out, err in formats(capsys, "chain", "--f", "1", "--a", "-1e160", "--b", "1e160",
+                                  "--which", "dm"):
+        assert (code, err) == (0, "") and out
+
+
+_REFUSALS = [
+    ParseError("refused", 0),
+    NotPositiveError("refused"),
+    NotLogConvexError("refused", report=None),
+    IntegrandError("refused", x=0.5),
+    ValueError("refused"),
+]
+
+
+@pytest.mark.parametrize("error", _REFUSALS, ids=lambda error: type(error).__name__)
+def test_a_sweep_case_and_the_cli_refuse_the_same_errors(capsys, monkeypatch, error):
+    def refuse(*args):
+        raise error
+
+    monkeypatch.setattr(chains, "_means", refuse)
+    result = harness.run_case(harness.CaseSpec("custom", (), 0.0, 1.0, 0, "exp(x^2)"), c=0.5)
+    kinds = (harness.KIND_DM, harness.KIND_T1, harness.KIND_T2)
+    assert [result.outcomes[kind] for kind in kinds] == ["not_applicable"] * 3
+    code, out, err = run(capsys, "chain", "--f", "exp(x^2)", "--a", "0", "--b", "1",
+                         "--which", "dm")
+    assert (code, out) == (2, "") and err.startswith("error: refused")
 
 
 def test_a_negative_value_may_use_exponent_notation(capsys):

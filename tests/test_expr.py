@@ -311,3 +311,40 @@ def test_juxtaposed_number_and_identifier_is_an_error():
     # '2e' lexes as the literal 2 followed by a dangling constant
     with pytest.raises(ParseError):
         parse("2e")
+
+
+# --------------------------------------------------------------------------
+# nesting bound: deep text is refused by name, never by exhausting the stack
+# --------------------------------------------------------------------------
+
+# Text of each shape at nesting or tree depth n; the bound is 100 levels.
+_DEEP_TEXTS = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "calls": lambda n: "sin(" * n + "x" + ")" * n,
+    "unary minus": lambda n: "-" * n + "x",
+    "sum": lambda n: " + ".join(["x"] * (n + 1)),
+    "product": lambda n: "*".join(["x"] * (n + 1)),
+    "powers": lambda n: "x^" * n + "1",
+    "parenthesised powers": lambda n: "x^(" * n + "1" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", _DEEP_TEXTS)
+def test_text_at_the_nesting_bound_parses_evaluates_and_serializes(shape):
+    f = parse(_DEEP_TEXTS[shape](100))
+    assert math.isfinite(f(1.0))
+    assert f.eval_array([1.0])[0] == f(1.0)
+    assert parse(serialize(f)) == f
+
+
+@pytest.mark.parametrize("shape", _DEEP_TEXTS)
+def test_text_one_level_past_the_nesting_bound_is_refused(shape):
+    with pytest.raises(ParseError, match="deeper than 100 levels"):
+        parse(_DEEP_TEXTS[shape](101))
+
+
+def test_a_long_sum_is_refused_by_name_not_by_the_stack():
+    # the 101st '+' would make the tree 101 levels deep
+    message = r"expression tree deeper than 100 levels \(position 402\)"
+    with pytest.raises(ParseError, match=message):
+        parse(" + ".join(["x"] * 3000))

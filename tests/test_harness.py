@@ -213,6 +213,19 @@ def test_sweep_parses_each_case_once(monkeypatch):
     assert len(texts) == 12
 
 
+def test_a_sweep_runs_each_case_through_run_case_and_certifies_it_once(monkeypatch):
+    runs, certified = [], []
+    run_case, estimate_modulus = harness.run_case, harness.estimate_modulus
+    monkeypatch.setattr(harness, "run_case", lambda c, *a: runs.append(c) or run_case(c, *a))
+    monkeypatch.setattr(
+        harness, "estimate_modulus", lambda f, *a: certified.append(f) or estimate_modulus(f, *a)
+    )
+    report = sweep(12, ALL_FAMILIES, seed=3)
+    assert report.cases_run == 12
+    assert [case.seed for case in runs] == list(range(12))
+    assert certified == [case.expression() for case in runs]
+
+
 def test_sweep_validates_arguments():
     with pytest.raises(ValueError):
         sweep(0, ("exp_quadratic",), seed=1)
