@@ -49,6 +49,7 @@ itself must be finite, as must (b-a)^2 where a correction scales with it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -155,7 +156,8 @@ def _means(f: Expression, a: float, b: float, tol: float) -> _Means:
         product = fx * fr
         return np.array((fx, np.log(fx), np.sqrt(product), product))
 
-    tols = tol * np.array([scale, log_scale, scale, scale * scale])
+    # the product row is checked finite, so the largest double bounds it too
+    tols = tol * np.array([scale, log_scale, scale, min(scale * scale, sys.float_info.max)])
     try:
         sums = integrate(rows, a, b, tols).value
     except IntegrandError as exc:  # rows has checked f itself, so the product overflowed
@@ -406,8 +408,9 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
     or A - L lies below -tol.  The root is checked with the chain's verdict
     and walked down by ulps of the binding margin if rounding put it past.
     Raises NotLogConvexError when the chain fails at c = 0, ValueError when
-    no margin bounds c.  Margins are judged at the integral-accuracy ``tol``:
-    a verdict slack would add ~6*slack/w^2 of spurious c to a constant's 0.
+    no margin bounds c (tol >= 1, or w^2 too small to move any term).
+    Margins are judged at the integral-accuracy ``tol``: a verdict slack
+    would add ~6*slack/w^2 of spurious c to a constant's 0.
     """
     a, b = _validate_interval(a, b)
     m = _means(f, a, b, tol)
@@ -436,8 +439,13 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
         if not any(q >= 0.0 and p + q * end >= 0.0 for p, q in lines):
             scale = max(1.0, abs(p0 + q0 * end), abs(p1 + q1 * end))
             ends.append((end, math.ulp(scale) / -slope))
-    if not ends:
+    if not ends and tol >= 1.0:
         raise ValueError(f"tol={tol!r} lets the chain hold for every c; need tol < 1")
+    if not ends:
+        raise ValueError(
+            f"b - a = {b - a!r} is too narrow for tol={tol!r}: c*(b - a)^2 never moves "
+            "a term past its tolerance, so no c bounds the chain"
+        )
     c_max, ulp = min(ends)
     for c in (max(0.0, c_max - ulps * ulp) for ulps in (0, 1, 2, 4, 8, 16)):
         if holds(c):

@@ -16,10 +16,11 @@ chain kind, or per output key) or as text.  The document is serialized in
 every format, so the exit code never depends on the format flag: 0 all
 checks hold, 1 at least one inequality violation was found (still a
 successful run), 2 usage errors, a refused input (``chains._REFUSALS``) or
-a non-finite number (message on stderr, nothing on stdout).  Intervals must
-be finite with a finite width b - a; a negative value may follow its
-option in exponent notation (``--a -1e-3``).  Output is byte-identical
-across identical invocations.
+a non-finite number, or an unwritable ``--out`` path (message on stderr,
+nothing on stdout).  Intervals must be finite with a finite width b - a,
+and tolerances positive and finite; an option value may start with '-'
+(``--a -1e-3``, ``--f -x^2``).  Output is byte-identical across identical
+invocations.
 """
 
 from __future__ import annotations
@@ -317,26 +318,18 @@ _DRIVERS = {"chain": _run_chain, "certify": _run_certify, "theorem2": _run_theor
 
 
 def _join_negative_values(argv: List[str]) -> List[str]:
-    """Spell ``--opt -1e-3`` as ``--opt=-1e-3``: argparse takes a token that starts
-    with '-' for an option unless it is a plain decimal such as -1 or -0.5."""
+    """Spell ``--opt -x^2`` as ``--opt=-x^2``: argparse takes a token that starts
+    with '-' for an option unless it is a plain decimal such as -1 or -0.5, but
+    no hhcert option is spelt with one dash except -h."""
     joined: List[str] = []
     for token in argv:
         option = joined[-1] if joined else ""
-        if option.startswith("--") and "=" not in option and _is_negative_number(token):
+        if (option.startswith("--") and "=" not in option and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
             joined[-1] += "=" + token
         else:
             joined.append(token)
     return joined
-
-
-def _is_negative_number(token: str) -> bool:
-    if not token.startswith("-"):
-        return False
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -362,8 +355,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(report)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     sys.stdout.write(text)
     return out.code
 

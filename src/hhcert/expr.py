@@ -8,8 +8,12 @@ and binds tighter than unary minus, so ``-x^2`` is ``-(x^2)`` and
 ``x^2^3`` is ``x^(2^3)``.  ``log`` is rejected on purpose: its base is
 ambiguous, and a loud failure beats a silent guess.
 
-One walk over the tree evaluates it, with numpy's ufuncs, so numpy
-defines f everywhere.  ``evaluate_array`` maps an array and leaves domain
+A tree has three leaf kinds (``Num``, ``Var``, ``Const``) and one interior
+kind, ``Apply(kind, args)``: ``kind`` is a key of ``_OPS`` (an operator, a
+call name or ``"neg"``) and ``args`` holds its one or two children.
+``_OPS`` maps each kind to its operation and its domain rules, and one walk
+over the tree evaluates it, with numpy's ufuncs, so numpy defines f
+everywhere.  ``evaluate_array`` maps an array and leaves domain
 violations NaN or infinite.  ``evaluate`` (``f(x)``) walks the one-point
 array ``[x]``, checks each node's domain rules in evaluation order and
 raises a named error for the first node that leaves its domain; where it
@@ -83,24 +87,12 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Neg:
-    arg: "Node"
+class Apply:
+    kind: str  # an _OPS key: one of + - * / ^, a call name or "neg"
+    args: Tuple["Node", ...]  # one child, or two for an operator
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: "Node"
-
-
-Node = Union[Num, Var, Const, Neg, BinOp, Call]
+Node = Union[Num, Var, Const, Apply]
 
 _CONSTANTS = {"e": math.e, "pi": math.pi}
 _FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos", "sinh", "cosh", "abs")
@@ -135,18 +127,24 @@ class Expression:
 #   term   := factor (('*'|'/') factor)*
 #   factor := '-' factor | atom ('^' factor)?
 #   atom   := NUMBER | 'x' | 'e' | 'pi' | FUNC '(' expr ')' | '(' expr ')'
+#
+# expr and term are one loop, parse_expr, over the levels of _LEVELS.
 # --------------------------------------------------------------------------
+
+_LEVELS = (("+", "-"), ("*", "/"))  # left-associative operators, loosest first
 
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 # Deepest parenthesis nesting, and deepest tree, that ``parse`` accepts.  The
-# parser takes at most 5 stack frames a level and every tree walk (_walk,
-# _text, the dataclass __eq__, __hash__ and __repr__) at most 3, so each needs
-# about 500 frames at most, half of Python's default recursion limit.  The
-# canonical text of a tree has one parenthesis per node above a leaf, so every
-# tree that parses serializes to text that parses.
+# parser takes at most 5 stack frames a level (parse_expr at each of its three
+# levels, parse_factor, parse_atom) and every tree walk (_walk, _text, the
+# dataclass __eq__, __hash__ and __repr__) at most 4, counting the comparisons
+# and reprs of the args tuple, which Python counts against the same limit; so
+# each needs about 500 frames at most, half of Python's default recursion
+# limit.  The canonical text of a tree has one parenthesis per node above a
+# leaf, so every tree that parses serializes to text that parses.
 _MAX_DEPTH = 100
 
 
@@ -165,9 +163,10 @@ def _height(position: int, left: int, right: int = 0) -> int:
 class _Parser:
     """Each parse method returns (node, height).
 
-    ``parens`` counts the parentheses open at ``pos`` and ``above`` the Neg and
-    ``^`` nodes that will hold what is parsed there, so recursion stops before
-    either passes _MAX_DEPTH, and every node checks its height as it is built.
+    ``parens`` counts the parentheses open at ``pos`` and ``above`` the "neg"
+    and ``^`` nodes that will hold what is parsed there, so recursion stops
+    before either passes _MAX_DEPTH, and every node checks its height as it is
+    built.
     """
 
     def __init__(self, text: str):
@@ -198,29 +197,20 @@ class _Parser:
         if self.above > _MAX_DEPTH:
             raise _too_deep("expression tree", position)
 
-    def parse_expr(self) -> Tuple[Node, int]:
-        node, height = self.parse_term()
+    def parse_expr(self, level: int = 0) -> Tuple[Node, int]:
+        """Operands of _LEVELS[level], joined left to right by its operators."""
+        if level == len(_LEVELS):
+            return self.parse_factor()
+        node, height = self.parse_expr(level + 1)
         while True:
             self.skip_ws()
             op = self.peek()
-            if op not in ("+", "-"):
+            if op not in _LEVELS[level]:
                 return node, height
             start = self.pos
             self.pos += 1
-            right, right_height = self.parse_term()
-            node, height = BinOp(op, node, right), _height(start, height, right_height)
-
-    def parse_term(self) -> Tuple[Node, int]:
-        node, height = self.parse_factor()
-        while True:
-            self.skip_ws()
-            op = self.peek()
-            if op not in ("*", "/"):
-                return node, height
-            start = self.pos
-            self.pos += 1
-            right, right_height = self.parse_factor()
-            node, height = BinOp(op, node, right), _height(start, height, right_height)
+            right, right_height = self.parse_expr(level + 1)
+            node, height = Apply(op, (node, right)), _height(start, height, right_height)
 
     def parse_factor(self) -> Tuple[Node, int]:
         self.skip_ws()
@@ -230,7 +220,7 @@ class _Parser:
             self.pos += 1
             arg, height = self.parse_factor()
             self.above -= 1
-            return Neg(arg), _height(start, height)
+            return Apply("neg", (arg,)), _height(start, height)
         base, base_height = self.parse_atom()
         self.skip_ws()
         if self.peek() != "^":
@@ -240,7 +230,7 @@ class _Parser:
         self.pos += 1
         exponent, height = self.parse_factor()
         self.above -= 1
-        return BinOp("^", base, exponent), _height(start, base_height, height)
+        return Apply("^", (base, exponent)), _height(start, base_height, height)
 
     def parse_atom(self) -> Tuple[Node, int]:
         self.skip_ws()
@@ -280,7 +270,7 @@ class _Parser:
             arg, height = self.parse_expr()
             self.expect(")")
             self.parens -= 1
-            return Call(name, arg), _height(start, height)
+            return Apply(name, (arg,)), _height(start, height)
         if name == "log":
             raise ParseError("ambiguous 'log' (write 'ln' for the natural logarithm)", start)
         raise ParseError(f"unknown identifier {name!r}", start)
@@ -339,19 +329,19 @@ _OPS = {
 
 
 def _walk(node: Node, xs, checked: bool):
-    if isinstance(node, BinOp):
-        kind, args = node.op, (_walk(node.left, xs, checked), _walk(node.right, xs, checked))
-    elif isinstance(node, Call):
-        kind, args = node.name, (_walk(node.arg, xs, checked),)
-    elif isinstance(node, Neg):
-        kind, args = "neg", (_walk(node.arg, xs, checked),)
+    if isinstance(node, Apply):
+        # two explicit arities: a generic map over args slows every call
+        if len(node.args) == 2:
+            args = (_walk(node.args[0], xs, checked), _walk(node.args[1], xs, checked))
+        else:
+            args = (_walk(node.args[0], xs, checked),)
     elif isinstance(node, Var):
         return xs
     elif isinstance(node, Num):
         return node.value
     else:
         return _CONSTANTS[node.name]
-    op, rules = _OPS[kind]
+    op, rules = _OPS[node.kind]
     out = op(*args)
     if checked and rules:
         point = [_item(v) for v in (out, *args)]
@@ -408,11 +398,12 @@ def _text(node: Node) -> str:
         return "x"
     if isinstance(node, Const):
         return node.name
-    if isinstance(node, Neg):
-        return f"(-{_text(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({_text(node.left)} {node.op} {_text(node.right)})"
-    return f"{node.name}({_text(node.arg)})"
+    args = [_text(arg) for arg in node.args]
+    if node.kind == "neg":
+        return f"(-{args[0]})"
+    if len(args) == 2:
+        return f"({args[0]} {node.kind} {args[1]})"
+    return f"{node.kind}({args[0]})"
 
 
 def serialize(f: Expression) -> str:

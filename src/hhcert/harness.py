@@ -35,6 +35,7 @@ import numpy as np
 from . import chains
 from .certify import CertStatus, ModulusCertificate, estimate_modulus
 from .expr import Expression, parse
+from .quadrature import _validate_tolerance
 
 __all__ = [
     "ALL_FAMILIES",
@@ -248,7 +249,8 @@ def sweep_results(
     Case i draws from substream i of SeedSequence(seed) and stores i in
     CaseSpec.seed, so any case can be reproduced from (seed, index) alone.
     Individual case errors are recorded as not_applicable outcomes and
-    never abort the sweep.
+    never abort the sweep; a tolerance that every case would refuse is
+    refused before any case is drawn.
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be at least 1, got {n_cases}")
@@ -258,6 +260,7 @@ def sweep_results(
     for family in families:
         if family not in ALL_FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+    _validate_tolerance(tol)
 
     results = []
     streams = np.random.SeedSequence(seed).spawn(n_cases)

@@ -124,6 +124,14 @@ def _validate_interval(a: float, b: float) -> Tuple[float, float]:
     return a, b
 
 
+def _validate_tolerance(tol) -> np.ndarray:
+    """tol as a 1-D array of tolerances; refused unless each is positive and finite."""
+    tols = np.array(tol, dtype=float, ndmin=1)
+    if tols.ndim > 1 or not (tols.min() > 0.0 and np.isfinite(tols).all()):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    return tols
+
+
 def _panels(g: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """K15 values, |K15 - G7| estimates and roundoff floors of the panels [lo, hi].
 
@@ -172,13 +180,12 @@ def integrate(
     enough).  It may instead return a (k, n) array, one row per integrand;
     ``tol`` then holds k tolerances (or one for all rows), and ``value``
     and ``error_estimate`` of the result are arrays of k entries.  Raises
-    ValueError on an overflow or an interval refused by ``_validate_interval``,
-    the rule of the certifier and of every chain.
+    ValueError on an overflow, a tolerance refused by ``_validate_tolerance``
+    or an interval refused by ``_validate_interval``, the rule of the
+    certifier and of every chain.
     """
     a, b = _validate_interval(a, b)
-    tols = np.array(tol, dtype=float, ndmin=1)
-    if tols.ndim > 1 or not tols.min() > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    tols = _validate_tolerance(tol)
 
     tols_by_row = tols[:, None]
     los, his = np.array([a]), np.array([b])

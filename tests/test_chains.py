@@ -398,9 +398,20 @@ def test_maxc_serializes_f_at_most_once(monkeypatch):
 
 def test_maxc_rejects_a_tolerance_that_bounds_nothing():
     # at tol >= 1 the verdict tolerance can grow as fast as the margins fall
-    with pytest.raises(ValueError, match="tol"):
+    message = r"^tol=1\.5 lets the chain hold for every c; need tol < 1$"
+    with pytest.raises(ValueError, match=message):
         max_feasible_c(EXP_X2, 0.0, 1.0, tol=1.5)
     assert theorem1_chain(EXP_X2, 0.0, 1.0, 377.0, 1.5, margin_tol=1.5).holds
+
+
+def test_maxc_on_an_interval_too_narrow_for_c_to_move_a_term_names_the_width():
+    # (b - a)^2 underflows to 0, so no tolerance below 1 is to blame
+    with pytest.raises(ValueError) as err:
+        max_feasible_c(EXP_X2, 0.0, 1e-200)
+    message = str(err.value)
+    assert message.startswith("b - a = 1e-200 is too narrow for tol=1e-10:")
+    assert "c*(b - a)^2 never moves a term past its tolerance" in message
+    assert "need tol < 1" not in message
 
 
 def test_maxc_raises_for_non_log_convex():

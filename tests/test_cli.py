@@ -182,6 +182,34 @@ def test_a_negative_value_may_use_exponent_notation(capsys):
     assert (code, out, err) == (2, "", "error: modulus must be nonnegative, got -0.001\n")
 
 
+@pytest.mark.parametrize("text", ["-x^2", "-exp(x)"])
+def test_an_expression_may_start_with_a_minus_after_a_space(capsys, text):
+    argv = ["--a", "0", "--b", "1", "--json"]
+    spaced = run(capsys, "integrate", "--f", text, *argv)
+    assert spaced == run(capsys, "integrate", f"--f={text}", *argv)
+    assert spaced[0] == 0 and json.loads(spaced[1])["inputs"]["f"] == text
+
+
+def test_help_still_follows_a_subcommand(capsys):
+    code, out, _ = run(capsys, "chain", "-h")
+    assert code == 0 and out.startswith("usage: hhcert chain")
+
+
+def test_sweep_refuses_a_zero_tolerance_before_any_case(capsys):
+    code, out, err = run(capsys, "sweep", "--families", "exp_quadratic", "--cases", "4",
+                         "--seed", "3", "--tol", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: tolerance must be positive and finite, got 0.0\n"
+
+
+def test_an_unwritable_out_path_exits_two_naming_it(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "sweep", "--families", "exp_quadratic", "--cases", "2",
+                         "--seed", "3", "--json", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_usage_error_exits_two(capsys):
     assert main(["chain", "--f", "x"]) == 2  # missing required flags
 

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hhcert.expr import (
-    BinOp,
-    Call,
+    _OPS,
+    Apply,
     Const,
     DomainError,
     EvaluationError,
     Expression,
     ExpressionError,
-    Neg,
     Num,
     ParseError,
     Var,
@@ -33,21 +32,42 @@ def test_variable_is_identity():
 
 
 def test_multiplication_binds_tighter_than_addition():
-    assert parse("2+3*x").root == BinOp("+", Num(2.0), BinOp("*", Num(3.0), Var()))
+    assert parse("2+3*x").root == Apply("+", (Num(2.0), Apply("*", (Num(3.0), Var()))))
 
 
 def test_call_wraps_power():
-    assert parse("exp(x^2)").root == Call("exp", BinOp("^", Var(), Num(2.0)))
+    assert parse("exp(x^2)").root == Apply("exp", (Apply("^", (Var(), Num(2.0))),))
 
 
 def test_power_is_right_associative():
     # x^2^3 = x^(2^3) = x^8
-    assert parse("x^2^3").root == BinOp("^", Var(), BinOp("^", Num(2.0), Num(3.0)))
+    assert parse("x^2^3").root == Apply("^", (Var(), Apply("^", (Num(2.0), Num(3.0)))))
     assert evaluate(parse("x^2^3"), 2.0) == 256.0
 
 
+def test_additive_and_multiplicative_operators_are_left_associative():
+    one_minus_x = Apply("-", (Num(1.0), Var()))
+    assert parse("1-x-2").root == Apply("-", (one_minus_x, Num(2.0)))
+    assert parse("1-x*2/3").root == Apply(
+        "-", (Num(1.0), Apply("/", (Apply("*", (Var(), Num(2.0))), Num(3.0))))
+    )
+
+
+def test_every_interior_node_is_an_apply_keyed_by_its_operation():
+    def interior(node):
+        if isinstance(node, Apply):
+            yield node
+            for arg in node.args:
+                yield from interior(arg)
+
+    text = "-(1 - x + 2) / 3 * sqrt(x) ^ 2 + exp(ln(sin(cos(sinh(cosh(abs(x)))))))"
+    nodes = list(interior(parse(text).root))
+    assert {node.kind for node in nodes} == set(_OPS)
+    assert all(len(node.args) == (1 if node.kind.isalpha() else 2) for node in nodes)
+
+
 def test_unary_minus_binds_below_power():
-    assert parse("-x^2").root == Neg(BinOp("^", Var(), Num(2.0)))
+    assert parse("-x^2").root == Apply("neg", (Apply("^", (Var(), Num(2.0))),))
     assert evaluate(parse("-x^2"), 3.0) == -9.0
     # but a unary minus is fine in exponent position
     assert evaluate(parse("2^-2"), 0.0) == 0.25
@@ -232,12 +252,11 @@ _trees = st.recursive(
         st.builds(Const, st.sampled_from(["e", "pi"])),
     ),
     lambda children: st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from(list("+-*/^")), children, children),
+        st.builds(Apply, st.sampled_from(list("+-*/^")), st.tuples(children, children)),
         st.builds(
-            Call,
-            st.sampled_from(["exp", "ln", "sqrt", "sin", "cos", "sinh", "cosh", "abs"]),
-            children,
+            Apply,
+            st.sampled_from(["neg", "exp", "ln", "sqrt", "sin", "cos", "sinh", "cosh", "abs"]),
+            st.tuples(children),
         ),
     ),
     max_leaves=12,

@@ -233,3 +233,12 @@ def test_sweep_validates_arguments():
         sweep(1, (), seed=1)
     with pytest.raises(ValueError):
         sweep(1, ("nope",), seed=1)
+
+
+def test_a_sweep_refuses_its_tolerance_before_drawing_a_case(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a case was drawn")
+
+    monkeypatch.setattr(harness, "generate_case", draw)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        sweep(3, tol=0.0)

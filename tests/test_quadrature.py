@@ -188,8 +188,12 @@ def test_an_overflowing_integral_names_its_first_panel(rows):
 def test_invalid_interval_and_tolerance():
     with pytest.raises(ValueError, match=r"^need a < b, got a=1\.0, b=0\.0$"):
         integrate(lambda xs: xs, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        integrate(lambda xs: xs, 0.0, 1.0, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, [1e-10, math.inf]])
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused(tol):
+    with pytest.raises(ValueError, match=r"^tolerance must be positive and finite, got "):
+        integrate(lambda xs: xs, 0.0, 1.0, tol=tol)
 
 
 def test_scalar_returning_integrand_is_rejected():
