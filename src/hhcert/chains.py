@@ -10,7 +10,8 @@ verdict:
   exp(mean ln f), the geometric-mean integral, and the logarithmic mean;
 * ``theorem1_chain``: the strengthened five-term chain for strongly
   log-convex f with modulus c, where the midpoint term gains c(b-a)^2/12
-  and the two right-hand terms lose c(b-a)^2/6;
+  and the two right-hand terms lose c(b-a)^2/6 (``_THEOREM1_TERMS`` holds
+  these corrections once, for the verdict and for ``max_feasible_c``);
 * ``theorem2_bound``: the product-integral bound
   (1/(b-a)) int f(x) f(a+b-x) dx <= f(a) f(b) + c^2 (b-a)^4 / 30
   - c (b-a)^2 [f(b) J(f(a)/f(b)) + f(a) J(f(b)/f(a))]
@@ -76,6 +77,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MARGIN_TOL = 1e-9
 
 _THEOREM2_FORMS = ("corrected", "as_printed", "both")
+# the product bound's two sides as chain terms, read by the harness and the CLI
+_THEOREM2_PAIR = ("mean_product_integral", "rhs_corrected")
 
 
 class NotLogConvexError(Exception):
@@ -266,15 +269,21 @@ def dragomir_mond_chain(
     return _dm_assemble(f, a, b, _means(f, a, b, tol), margin_tol)
 
 
+# Theorem 1's five terms: (name, _Means field, d), each term the field plus
+# c (b-a)^2 / d.  The two terms that do not move have d = inf, which adds an
+# exact 0.0, and x + y / -6.0 rounds as x - y / 6.0 does.
+_THEOREM1_TERMS = (
+    ("midpoint_plus_correction", "fm", 12.0),
+    ("mean_geometric_reflected", "mean_geometric", math.inf),
+    ("mean_integral", "mean_f", math.inf),
+    ("log_mean_minus_correction", "log_mean", -6.0),
+    ("endpoint_average_minus_correction", "end_avg", -6.0),
+)
+
+
 def _theorem1_assemble(f, a, b, c, m: _Means, margin_tol) -> ChainReport:
     q2 = c * _squared_width(a, b)
-    terms = [
-        ("midpoint_plus_correction", m.fm + q2 / 12.0),
-        ("mean_geometric_reflected", m.mean_geometric),
-        ("mean_integral", m.mean_f),
-        ("log_mean_minus_correction", m.log_mean - q2 / 6.0),
-        ("endpoint_average_minus_correction", m.end_avg - q2 / 6.0),
-    ]
+    terms = [(name, getattr(m, field) + q2 / d) for name, field, d in _THEOREM1_TERMS]
     return _report(f, a, b, c, terms, margin_tol)
 
 
@@ -368,8 +377,7 @@ def _theorem2_assemble(f, a, b, c, m: _Means, margin_tol, form) -> Theorem2Repor
             m.end_avg + m.log_mean
         )
 
-    corrected = _report(f, a, b, c, [("mean_product_integral", lhs),
-                                     ("rhs_corrected", rhs_corrected)], margin_tol)
+    corrected = _report(f, a, b, c, list(zip(_THEOREM2_PAIR, (lhs, rhs_corrected))), margin_tol)
     _require_finite([("rhs_as_printed", rhs_as_printed)], c)
     margin_as_printed = None if rhs_as_printed is None else rhs_as_printed - lhs
     return Theorem2Report(
@@ -396,30 +404,28 @@ def _theorem2_assemble(f, a, b, c, m: _Means, margin_tol, form) -> Theorem2Repor
 def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     """Largest c for which the strengthened chain still holds, in closed form.
 
-    Each term is affine in c (the midpoint term gains c w^2/12, the two
-    right-hand terms lose c w^2/6, w = b - a) and the verdict tolerance
-    tol*max(1, |term_k|) is the largest of the pieces tol, +-tol*term_k, so a
-    margin holds at c iff some line margin + piece is >= 0.  A margin holds on
-    [0, end], end the largest root of its falling lines, unless a line that
-    does not fall holds at end; c_max is the smallest end.  For tol < 1 it is
-    finite: L - M - c w^2/6 falls faster than tol*|term| can rise (tol w^2/6),
-    and where it holds the largest piece rises at most tol w^2/12, slower than
-    G - f_m - c w^2/12 falls, so the feasible set is [0, c_max] unless M - G
-    or A - L lies below -tol.  The root is checked with the chain's verdict
-    and walked down by ulps of the binding margin if rounding put it past.
-    Raises NotLogConvexError when the chain fails at c = 0, ValueError when
-    no margin bounds c (tol >= 1, or w^2 too small to move any term).
-    Margins are judged at the integral-accuracy ``tol``: a verdict slack
-    would add ~6*slack/w^2 of spurious c to a constant's 0.
+    Each term is affine in c, p + c w^2/d with w = b - a, and reads its p and
+    d from ``_THEOREM1_TERMS``, the one place that holds the corrections.  The
+    verdict tolerance tol*max(1, |term_k|) is the largest of the pieces tol,
+    +-tol*term_k, so a margin holds at c iff some line margin + piece is >= 0.
+    A margin holds on [0, end], end the largest root of its falling lines,
+    unless a line that does not fall holds at end; c_max is the smallest end.
+    For tol < 1 it is finite: L - M falls at the right-hand terms' rate, faster
+    than tol*|term| can rise (tol times that rate), and where it holds the
+    largest piece rises at most tol times the midpoint's rate, slower than
+    G - f_m falls, so the feasible set is [0, c_max] unless M - G or A - L
+    lies below -tol.  The root is checked with the chain's verdict and walked
+    down by ulps of the binding margin if rounding put it past.  Raises
+    NotLogConvexError when the chain fails at c = 0, and ValueError when no
+    margin bounds c (tol >= 1, or w^2 too small to move any term) or when the
+    root or its ulp step is not a finite double (w^2 deep among the subnormals,
+    as for b - a = 1e-160).  Margins are judged at the integral-accuracy ``tol``: a
+    verdict slack would add spurious c of order slack/w^2 to a constant's 0.
     """
     a, b = _validate_interval(a, b)
     m = _means(f, a, b, tol)
-
-    def holds(c: float) -> bool:
-        return _theorem1_assemble(f, a, b, c, m, tol).holds
-
-    if not holds(0.0):
-        report = _theorem1_assemble(f, a, b, 0.0, m, tol)
+    report = _theorem1_assemble(f, a, b, 0.0, m, tol)
+    if not report.holds:
         raise NotLogConvexError(
             "chain fails already at c = 0; f is not log-convex on the interval "
             f"(min margin {report.min_margin!r})",
@@ -427,8 +433,7 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
         )
 
     w2 = _squared_width(a, b)
-    base = (m.fm, m.mean_geometric, m.mean_f, m.log_mean, m.end_avg)
-    terms = tuple(zip(base, (w2 / 12.0, 0.0, 0.0, -w2 / 6.0, -w2 / 6.0)))  # p + q c
+    terms = [(getattr(m, field), w2 / d) for _, field, d in _THEOREM1_TERMS]  # p + q c
     pieces = [(tol, 0.0)]
     pieces += [(s * tol * p, s * tol * q) for p, q in terms for s in (1.0, -1.0)]
     ends = []  # (end of the margin's stretch, one ulp of the margin in units of c)
@@ -447,7 +452,12 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
             "a term past its tolerance, so no c bounds the chain"
         )
     c_max, ulp = min(ends)
+    if not (math.isfinite(c_max) and math.isfinite(ulp)):
+        raise ValueError(
+            f"b - a = {b - a!r} is too narrow for tol={tol!r}: the solved c_max={c_max!r} "
+            f"or its ulp step {ulp!r} is not a finite double"
+        )
     for c in (max(0.0, c_max - ulps * ulp) for ulps in (0, 1, 2, 4, 8, 16)):
-        if holds(c):
+        if _theorem1_assemble(f, a, b, c, m, tol).holds:
             return float(c)
     raise ArithmeticError(f"solved modulus {c_max!r} fails the chain beyond rounding")

@@ -39,6 +39,9 @@ from .report import dumps_canonical, format_float
 
 __all__ = ["main", "build_parser"]
 
+# the --form choices, in help order, and the chains form each one selects
+_THEOREM2_FORMS = {"corrected": "corrected", "printed": "as_printed", "both": "both"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -71,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_t2 = sub.add_parser("theorem2", help="check the product-integral bound")
     add_common(p_t2, with_c=True)
-    p_t2.add_argument("--form", choices=("corrected", "printed", "both"), default="corrected")
+    p_t2.add_argument("--form", choices=tuple(_THEOREM2_FORMS), default="corrected")
 
     p_sweep = sub.add_parser("sweep", help="randomized family sweep")
     p_sweep.add_argument("--families", required=True, help="comma-separated family names")
@@ -115,6 +118,12 @@ def _doc(command: str, inputs: dict, outputs: dict, violations: Iterable = ()) -
             "violations": list(violations)}
 
 
+def _violations(names: Sequence[str], margins: Sequence[float], tol: float) -> list:
+    """One entry per margin below -tol, naming the terms on either side of it."""
+    return [{"term_pair": [names[i], names[i + 1]], "margin": margin}
+            for i, margin in enumerate(margins) if margin < -tol]
+
+
 def _key_value_rows(outputs: dict):
     """``key,value`` rows of a flat report; certify's witness becomes three rows."""
     yield "key", "value"
@@ -147,11 +156,7 @@ def _run_chain(args) -> _Output:
         rep = chains.dragomir_mond_chain(f, args.a, args.b, args.tol)
     else:
         rep = chains.theorem1_chain(f, args.a, args.b, args.c, args.tol)
-    violations = (
-        {"term_pair": [rep.terms[i][0], rep.terms[i + 1][0]], "margin": margin}
-        for i, margin in enumerate(rep.margins)
-        if margin < -rep.tol
-    )
+    violations = _violations([name for name, _ in rep.terms], rep.margins, rep.tol)
     inputs = {"f": args.f, "a": args.a, "b": args.b, "c": rep.c, "tol": args.tol,
               "which": args.which}
     outputs = {
@@ -201,15 +206,10 @@ def _certify_lines(args, cert):
            f"{cert.refinement_rounds} refinement rounds)")
 
 
-_THEOREM2_FORMS = {"corrected": "corrected", "printed": "as_printed", "both": "both"}
-
-
 def _run_theorem2(args) -> _Output:
     form = _THEOREM2_FORMS[args.form]
     rep = chains.theorem2_bound(parse(args.f), args.a, args.b, args.c, args.tol, form=form)
-    violations = [] if rep.holds_corrected else [
-        {"term_pair": ["mean_product_integral", "rhs_corrected"], "margin": rep.margin_corrected}
-    ]
+    violations = _violations(chains._THEOREM2_PAIR, [rep.margin_corrected], rep.tol)
     inputs = {"f": args.f, "a": args.a, "b": args.b, "c": rep.c, "tol": args.tol, "form": form}
     outputs = {
         "lhs": rep.lhs, "rhs_corrected": rep.rhs_corrected, "rhs_as_printed": rep.rhs_as_printed,

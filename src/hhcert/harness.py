@@ -217,11 +217,11 @@ def run_case(
             t2 = chains._theorem2_assemble(f, a, b, modulus, m, margin_tol, "both")
             outcomes[KIND_T2] = HOLDS if t2.holds_corrected else VIOLATED
             margins[KIND_T2] = t2.margin_corrected
-            pairs[KIND_T2] = ("mean_product_integral", "rhs_corrected")
+            pairs[KIND_T2] = chains._THEOREM2_PAIR
             if t2.holds_as_printed is not None:
                 outcomes[KIND_T2_PRINTED] = HOLDS if t2.holds_as_printed else VIOLATED
                 margins[KIND_T2_PRINTED] = t2.margin_as_printed
-                pairs[KIND_T2_PRINTED] = ("mean_product_integral", "rhs_as_printed")
+                pairs[KIND_T2_PRINTED] = (chains._THEOREM2_PAIR[0], "rhs_as_printed")
         except chains._REFUSALS:
             pass
 

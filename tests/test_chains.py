@@ -405,13 +405,32 @@ def test_maxc_rejects_a_tolerance_that_bounds_nothing():
 
 
 def test_maxc_on_an_interval_too_narrow_for_c_to_move_a_term_names_the_width():
-    # (b - a)^2 underflows to 0, so no tolerance below 1 is to blame
-    with pytest.raises(ValueError) as err:
-        max_feasible_c(EXP_X2, 0.0, 1e-200)
-    message = str(err.value)
-    assert message.startswith("b - a = 1e-200 is too narrow for tol=1e-10:")
-    assert "c*(b - a)^2 never moves a term past its tolerance" in message
-    assert "need tol < 1" not in message
+    # (b - a)^2 underflows to 0, or all but, so no tolerance below 1 is to blame
+    for width in (1e-162, 1e-200):
+        with pytest.raises(ValueError) as err:
+            max_feasible_c(EXP_X2, 0.0, width)
+        message = str(err.value)
+        assert message.startswith(f"b - a = {width!r} is too narrow for tol=1e-10:")
+        assert "c*(b - a)^2 never moves a term past its tolerance" in message
+        assert "need tol < 1" not in message
+
+
+@pytest.mark.parametrize("width", [1e-159, 1e-160, 1e-161])
+def test_maxc_refuses_a_width_whose_solved_c_is_not_finite(width):
+    # (b - a)^2 is deep among the subnormals, so the root or its ulp step
+    # overflows; the walk-down once turned inf - 0*inf into a silent 0.0
+    with pytest.raises(ValueError, match=rf"^b - a = {width!r} is too narrow for tol=1e-10: "
+                                         r"the solved c_max=\S+ or its ulp step \S+ is not"):
+        max_feasible_c(EXP_X2, 0.0, width)
+    assert theorem1_chain(EXP_X2, 0.0, width, 1e300).holds
+
+
+@pytest.mark.parametrize("width", [1e-155, 1e-158])
+def test_maxc_solves_the_widths_just_wider_than_the_refused_ones(width):
+    # the margins are ~width^2 here, so tol decides: c*width^2/6 first passes
+    # tol*|term| ~ tol at c ~ 6*tol/width^2, and 6e306 is still a double
+    expected = 6.0 * DEFAULT_TOL / width**2
+    assert max_feasible_c(EXP_X2, 0.0, width) == pytest.approx(expected, rel=1e-5)
 
 
 def test_maxc_raises_for_non_log_convex():
@@ -482,3 +501,78 @@ def test_an_overflowing_integral_stops_the_chain_by_name(monkeypatch):
                                              r"\[-1e\+160, 1e\+160\]: K15 sum \[inf, "):
             dragomir_mond_chain(parse("1e150"), -1e160, 1e160)
     assert len(calls) < 10
+
+
+# --------------------------------------------------------------------------
+# bit pins
+# --------------------------------------------------------------------------
+
+# float.hex of the Theorem 1 terms at c = 0, 0.3 and 7, the Dragomir-Mond
+# terms, Theorem 2's rhs_corrected at the same c, and max_feasible_c, for a
+# strictly log-convex f, a negative power, a log-affine f and a constant
+_BIT_PINS = {
+    ("exp(x^2)", 0.0, 1.0): """
+        t1@0.0 0x1.48b5e3c3e8186p+0 0x1.6649359c771b2p+0 0x1.767058461bd06p+0
+               0x1.b7e151628aed2p+0 0x1.dbf0a8b145769p+0
+        t1@0.3 0x1.4f1c4a2a4e7ecp+0 0x1.6649359c771b2p+0 0x1.767058461bd06p+0
+               0x1.ab148495be205p+0 0x1.cf23dbe478a9cp+0
+        t1@7.0 0x1.de0b39193d6dcp+0 0x1.6649359c771b2p+0 0x1.767058461bd06p+0
+               0x1.1a6d4d6fc084ep-1 0x1.628bfc0d3597cp-1
+        dm 0x1.48b5e3c3e8186p+0 0x1.6546db1ba2d13p+0 0x1.6649359c771b2p+0
+           0x1.767058461bd06p+0 0x1.b7e151628aed2p+0 0x1.dbf0a8b145769p+0
+        t2 0x1.5bf0a8b145769p+1 0x1.46b028882d9aep+1 0x1.a1579ba1181c0p-2
+        maxc 0x1.62e7d62f183e7p+0
+    """,
+    ("(x + 0.5)^-1.5", 0.0, 1.0): """
+        t1@0.0 0x1.0000000000000p+0 0x1.12858f145f098p+0 0x1.3207f5cf24b5bp+0
+               0x1.62d41f461a87bp+0 0x1.afb68a3d69882p+0
+        t1@0.3 0x1.0666666666666p+0 0x1.12858f145f098p+0 0x1.3207f5cf24b5bp+0
+               0x1.560752794dbaep+0 0x1.a2e9bd709cbb5p+0
+        t1@7.0 0x1.9555555555556p+0 0x1.12858f145f098p+0 0x1.3207f5cf24b5bp+0
+               0x1.c14ba4db7ee80p-3 0x1.0a17bf257dbaep-1
+        dm 0x1.0000000000000p+0 0x1.11f875032d36dp+0 0x1.12858f145f098p+0
+           0x1.3207f5cf24b5bp+0 0x1.62d41f461a87bp+0 0x1.afb68a3d69882p+0
+        t2 0x1.8a2345cc04426p+0 0x1.68ee811076570p+0 0x1.38a9f0c7e9ea0p-4
+        maxc 0x1.bc8569f8cd1d4p-1
+    """,
+    ("exp(0.7*x - 0.3)", -1.0, 2.0): """
+        t1@0.0 0x1.0d201a422a433p+0 0x1.0d201a422a432p+0 0x1.41603a354968bp+0
+               0x1.41603a354968ap+0 0x1.af9f2f90a7378p+0
+        t1@0.3 0x1.46b9b3dbc3dccp+0 0x1.0d201a422a432p+0 0x1.41603a354968bp+0
+               0x1.9c5a0e042c6aep-1 0x1.3c6bfc5d74045p+0
+        t1@7.0 0x1.934806908a90dp+2 0x1.0d201a422a432p+0 0x1.41603a354968bp+0
+               -0x1.27d3f8b956d2fp+3 -0x1.1a0c1a0deb191p+3
+        dm 0x1.0d201a422a433p+0 0x1.0d201a422a432p+0 0x1.0d201a422a432p+0
+           0x1.41603a354968bp+0 0x1.41603a354968ap+0 0x1.af9f2f90a7378p+0
+        t2 0x1.1aec7b35a00d3p+0 0x1.2c911ecdce8f8p-2 0x1.b32fd333083acp+6
+        maxc 0x1.ee58b06c7f0b7p-34
+    """,
+    ("2.5", 0.0, 1.0): """
+        t1@0.0 0x1.4000000000000p+1 0x1.4000000000001p+1 0x1.4000000000001p+1
+               0x1.4000000000000p+1 0x1.4000000000000p+1
+        t1@0.3 0x1.4333333333333p+1 0x1.4000000000001p+1 0x1.4000000000001p+1
+               0x1.399999999999ap+1 0x1.399999999999ap+1
+        t1@7.0 0x1.8aaaaaaaaaaabp+1 0x1.4000000000001p+1 0x1.4000000000001p+1
+               0x1.5555555555555p+0 0x1.5555555555555p+0
+        dm 0x1.4000000000000p+1 0x1.4000000000000p+1 0x1.4000000000001p+1
+           0x1.4000000000001p+1 0x1.4000000000000p+1 0x1.4000000000000p+1
+        t2 0x1.9000000000000p+2 0x1.803126e978d50p+2 0x1.0666666666666p+1
+        maxc 0x1.9c50bdc3fca94p-30
+    """,
+}
+
+
+def _bit_record(text, a, b):
+    """The words of ``_BIT_PINS[text, a, b]``, computed afresh."""
+    f = parse(text)
+    words = []
+    for c in (0.0, 0.3, 7.0):
+        words += [f"t1@{c!r}"] + [v.hex() for v in values(theorem1_chain(f, a, b, c))]
+    words += ["dm"] + [v.hex() for v in values(dragomir_mond_chain(f, a, b))]
+    words += ["t2"] + [theorem2_bound(f, a, b, c).rhs_corrected.hex() for c in (0.0, 0.3, 7.0)]
+    return words + ["maxc", max_feasible_c(f, a, b).hex()]
+
+
+@pytest.mark.parametrize("case", list(_BIT_PINS), ids=lambda case: case[0])
+def test_chain_terms_and_maxc_keep_their_bits(case):
+    assert _bit_record(*case) == _BIT_PINS[case].split()

@@ -134,6 +134,9 @@ def formats(capsys, *argv):
         # f is finite; the product row f(x)*f(a+b-x) = 1e400 is not
         (["chain", "--f", "1e200", "--a", "0", "--b", "1", "--which", "dm"],
          "f(x)*f(a+b-x) overflows at x="),
+        # (b - a)^2 is subnormal and the solved c overflows: this once printed 0.0
+        (["maxc", "--f", "exp(x^2)", "--a", "0", "--b", "1e-160"],
+         "b - a = 1e-160 is too narrow for tol=1e-10: the solved c_max=inf"),
     ],
 )
 def test_a_report_that_fails_exits_two_alike_in_every_format(capsys, argv, message):
