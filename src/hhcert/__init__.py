@@ -1,11 +1,11 @@
 """hhcert: certify strong log-convexity and verify Hermite-Hadamard-type chains.
 
-The package parses a user-defined positive function f(x), estimates the
-largest modulus c for which f is strongly log-convex on an interval, and
-numerically verifies every term and ordering of the classical, six-term
-(Dragomir-Mond), and strengthened inequality chains, plus the corrected
-product-integral bound, all against a deterministic adaptive quadrature
-oracle.
+The package parses a user-defined positive function f(x), brackets and
+estimates the largest modulus c for which f is strongly log-convex on an
+interval, and numerically verifies every term and ordering of the
+classical, six-term (Dragomir-Mond), and strengthened inequality chains,
+plus the corrected product-integral bound, all against a deterministic
+adaptive quadrature oracle.
 """
 
 __version__ = "0.1.0"
@@ -13,12 +13,14 @@ __version__ = "0.1.0"
 from .certify import (
     CertStatus,
     ConvexityKind,
+    ModulusBracket,
     ModulusCertificate,
     ModulusCheck,
     NotPositiveError,
     check_modulus,
     estimate_modulus,
     log_defect,
+    modulus_bracket,
 )
 from .chains import (
     ChainReport,
@@ -82,8 +84,10 @@ __all__ = [
     "CertStatus",
     "ModulusCertificate",
     "ModulusCheck",
+    "ModulusBracket",
     "NotPositiveError",
     "log_defect",
+    "modulus_bracket",
     "estimate_modulus",
     "check_modulus",
     # chains

@@ -37,8 +37,16 @@ least 2**13 triples, the cost of its fixed work.  An interval so narrow
 triple raises a ValueError naming the grid instead of returning a nan or
 infinite ratio.
 
-A grid infimum is evidence, not proof: the certificate carries grid_size
-and refinement_rounds so callers can judge how hard the box was searched.
+A grid infimum is evidence, not proof: every sampled ratio, and so the
+infimum, is an upper estimate of c*.  ``modulus_bracket`` gives the proof:
+a lower bound c_lo and an upper bound c_up on c* from g = ln f, its
+symbolic derivatives and their outward-rounded interval enclosures, with
+the verdict they settle.  ``estimate_modulus`` reports the proved c_lo
+where it is positive and otherwise clips the grid infimum into the
+bracket, so a certified_positive c_star never exceeds c*, up to the one
+ulp of libm error the enclosures assume.  The certificate carries
+grid_size and refinement_rounds so callers can judge how hard the box was
+searched.
 """
 
 from __future__ import annotations
@@ -61,7 +69,9 @@ __all__ = [
     "NotPositiveError",
     "ModulusCertificate",
     "ModulusCheck",
+    "ModulusBracket",
     "log_defect",
+    "modulus_bracket",
     "estimate_modulus",
     "check_modulus",
 ]
@@ -349,6 +359,113 @@ def _min_over_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarr
     return best, witness
 
 
+# --------------------------------------------------------------------------
+# The modulus bracket: bounds on c* from g = ln f and its derivatives
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ModulusBracket:
+    """Bounds c_lo <= c* <= c_up on the maximal modulus, and the verdict they settle.
+
+    ``status`` is None where the bracket leaves the verdict open.
+    """
+
+    c_lo: float
+    c_up: float
+    status: Optional[CertStatus]
+
+
+_OPEN = ModulusBracket(-math.inf, math.inf, None)
+
+# Pieces of [a, b] on which modulus_bracket encloses f and g''; their
+# 17 edges are the points at which it samples f*g''/2 and the tangents of g.
+_BRACKET_PIECES = 16
+
+
+def modulus_bracket(f: Expression, a: float, b: float) -> ModulusBracket:
+    """Bracket the maximal strong log-convexity modulus c* of f on [a, b] from g = ln f.
+
+    With x and y tending to t, the defect ratio tends to f(t) g''(t) / 2, so
+    c* <= c_up, the least upper enclosure of f g''/2 at the edges of 16
+    equal pieces of [a, b].  Where g'' >= kappa on [a, b], the exponent of
+    the defect ratio is at least kappa lam (1-lam) (x-y)^2 / 2 and
+    e^D - 1 >= D, so c* >= c_lo = (min f) kappa / 2 for kappa >= 0, and
+    (max f) kappa / 2 otherwise.  kappa is the least lower enclosure of g''
+    over the pieces.  min f is bounded below by the pieces and, for
+    kappa >= 0, by the tangents of the convex g at the edges:
+    g(t) >= g(m) + g'(m)(t - m) + kappa (t - m)^2 / 2.  Both ends are
+    rounded outward, and each enclosure assumes at most one ulp of libm
+    error (see ``calculus.enclose``).
+
+    The status is certified_zero where g'' folds to 0 symbolically (as for
+    exp(b*x + c)), certified_positive where c_lo > 0, not_log_convex where
+    c_up < 0, and None where the bracket leaves the verdict open: f not
+    provably positive, g not provably twice differentiable on [a, b], the
+    bounds straddling 0, or derivative trees past ``calculus.NODE_BUDGET``
+    nodes.  The work is bounded: three trees of at most that many nodes,
+    each enclosed once over 33 boxes.  Raises ValueError unless a < b are
+    finite with a finite width b - a.
+    """
+    # loaded on first use, so a process that never brackets a modulus (a
+    # chain check, an integral) does not load it
+    from .calculus import OverBudget, _constant, _down, _up, enclose, log_derivatives
+
+    a, b = _validate_interval(a, b)
+    try:
+        g1, g2 = log_derivatives(f)
+        edges = _grid(a, b, _BRACKET_PIECES + 1)
+        lo = np.concatenate((edges[:-1], edges))
+        hi = np.concatenate((edges[1:], edges))
+        (f_lo, f_hi), (d_lo, d_hi), (k_lo, k_hi) = enclose((f.root, g1, g2), lo, hi)
+    except OverBudget:
+        return _OPEN
+    pieces, points = slice(None, _BRACKET_PIECES), slice(_BRACKET_PIECES, None)
+    if not f_lo[pieces].min() > 0.0:
+        return _OPEN
+    if _constant(g2) == 0.0:
+        return ModulusBracket(0.0, 0.0, CertStatus.CERTIFIED_ZERO)
+    with np.errstate(all="ignore"):
+        # the upper end of [f] * [g''] at each edge, where [f] > 0; inf * 0
+        # says nothing
+        h_up = _up(np.where(k_hi >= 0.0, f_hi, f_lo)[points] * k_hi[points])
+        c_up = float(_up(np.where(np.isnan(h_up), math.inf, h_up).min() * 0.5))
+        kappa = float(k_lo[pieces].min())
+        if kappa >= 0.0:
+            f_min = max(float(f_lo[pieces].min()), _tangent_floor(
+                edges, a, b, kappa, f_lo[points], d_lo[points], d_hi[points]))
+            c_lo = float(_down(_down(f_min * kappa) * 0.5))
+        else:
+            c_lo = float(_down(_down(float(f_hi[pieces].max()) * kappa) * 0.5))
+    if c_lo > 0.0:
+        status = CertStatus.CERTIFIED_POSITIVE
+    elif c_up < 0.0:
+        status = CertStatus.NOT_LOG_CONVEX
+    else:
+        status = None
+    return ModulusBracket(c_lo, c_up, status)
+
+
+def _tangent_floor(m, a, b, kappa, f_lo, d_lo, d_hi) -> float:
+    """A lower bound on min f over [a, b] from the tangents of g = ln f at the points m.
+
+    For g'' >= kappa >= 0, g(t) >= g(m) + d (t - m) + kappa (t - m)^2 / 2
+    with d = g'(m) in [d_lo, d_hi].  Its last two terms are at least
+    -d^2 / (2 kappa) for kappa > 0, and at least d (t - m), whose least value
+    over t in [a, b] sits at a corner, for kappa >= 0.  Each step is rounded
+    outward, so for a quadratic g the floor is min f up to a few ulps.
+    """
+    from .calculus import _down, _hull, _up
+
+    g_lo = _down(np.log(f_lo))
+    s_lo, s_hi = _down(a - m), _up(b - m)
+    linear = _hull(d_lo * s_lo, d_lo * s_hi, d_hi * s_lo, d_hi * s_hi)[0]
+    square = _up(np.maximum(d_lo * d_lo, d_hi * d_hi))
+    quadratic = -_up(square / _down(2.0 * kappa))  # 2 kappa may overflow
+    floor = _down(g_lo + np.maximum(linear, quadratic))
+    floor = np.where(np.isnan(floor), -math.inf, floor)
+    return float(_down(np.exp(floor.max())))
+
+
 def estimate_modulus(
     f: Expression,
     a: float,
@@ -361,11 +478,17 @@ def estimate_modulus(
     Samples x and y on a uniform grid over [a, b] and lam on the uniform
     interior grid j/(grid_n+1), then performs ``refine_rounds`` rounds of
     local search in boxes centered on the running witness, each box half
-    the width of the previous one (clipped to the domain).  c_star is the
-    running minimum over everything sampled, so extra rounds never raise it.
+    the width of the previous one (clipped to the domain).  The running
+    minimum over everything sampled, which extra rounds never raise, is then
+    combined with ``modulus_bracket``: c_star is the bracket's proved c_lo
+    where c_lo > 0, and otherwise the grid minimum clipped into
+    [c_lo, c_up].  The status is the bracket's where the bracket settles it
+    (certified_zero exactly where g'' vanishes identically), and otherwise
+    follows the sign of c_star, with |c_star| <= ZERO_TOLERANCE as zero.
     Raises ValueError unless a < b are finite with a finite width b - a,
     when the refine_rounds + 1 grids of grid_n^3 triples, each counted as at
-    least 2**13, exceed TRIPLE_BUDGET, and when c_star is not finite.
+    least 2**13, exceed TRIPLE_BUDGET, and when the grid minimum is not
+    finite.
     """
     a, b = _validate_interval(a, b)
     if grid_n < 3:
@@ -392,14 +515,20 @@ def estimate_modulus(
 
     if not math.isfinite(best):
         raise ValueError(f"the sampled modulus c_star is {best!r}; no certificate can rest on it")
-    if best < 0.0:
+    bracket = modulus_bracket(f, a, b)
+    # every sampled ratio, and so the grid minimum, is an upper estimate of
+    # c*: where c_lo > 0 proves a modulus, c_star is that proved one
+    c_star = bracket.c_lo if bracket.c_lo > 0.0 else min(max(best, bracket.c_lo), bracket.c_up)
+    if bracket.status is not None:
+        status = bracket.status
+    elif c_star < 0.0:
         status = CertStatus.NOT_LOG_CONVEX
-    elif best <= ZERO_TOLERANCE:
+    elif c_star <= ZERO_TOLERANCE:
         status = CertStatus.CERTIFIED_ZERO
     else:
         status = CertStatus.CERTIFIED_POSITIVE
     return ModulusCertificate(
-        c_star=best,
+        c_star=c_star,
         witness=witness,
         grid_size=grid_n,
         refinement_rounds=refine_rounds,
@@ -414,11 +543,13 @@ def check_modulus(
     c: float,
     grid_n: int = 64,
 ) -> ModulusCheck:
-    """Check whether every sampled defect ratio is at least c (minus 1e-12).
+    """Check whether c (minus 1e-12) is at most the certified modulus.
 
-    The sample is ``estimate_modulus``'s first grid, without refinement.
-    Returns the worst sampled triple either way; ok=False means that triple
-    witnesses a violation of the claimed modulus.  Raises ValueError as
+    The certificate is ``estimate_modulus``'s on its first grid, without
+    refinement, so the defect is the proved c_lo where the bracket proves a
+    positive modulus and the bracket-clipped grid minimum otherwise.
+    Returns the worst sampled triple either way; ok=False means c exceeds
+    what the certificate stands behind.  Raises ValueError as
     ``estimate_modulus`` does.
     """
     c = float(c)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from typing import Iterable, List, NamedTuple, Optional, Sequence
@@ -93,6 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_maxc, with_tol=False)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses in a process: building one costs more than a
+    short run, and parsing leaves it unchanged."""
+    return build_parser()
 
 
 # --------------------------------------------------------------------------
@@ -333,9 +341,8 @@ def _join_negative_values(argv: List[str]) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

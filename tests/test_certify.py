@@ -416,8 +416,10 @@ def test_certificate_matches_closed_form_modulus_of_exp_quadratic():
     quadratic, so the defect ratio factors as
     alpha * exp(g(t)) * (e^D - 1)/D with D = alpha*lam*(1-lam)*(x-y)^2 > 0,
     and the infimum over admissible triples is alpha * min f, approached in
-    the x -> y limit at the minimizer of f.  The grid estimate must sit at
-    or barely above that closed form.
+    the x -> y limit at the minimizer of f.  The bracket proves a lower
+    bound within rounding of that closed form, and the certificate reports
+    it: never above the closed form (up to the rounding of c_true itself),
+    where the grid minimum alone sat up to 1e-3 above it.
     """
     import math
 
@@ -438,7 +440,7 @@ def test_certificate_matches_closed_form_modulus_of_exp_quadratic():
         c_true = alpha * f_min
         cert = estimate_modulus(f, a, b, grid_n=32, refine_rounds=3)
         ratio = cert.c_star / c_true
-        assert -1e-7 <= ratio - 1.0 <= 1e-3
+        assert -1e-12 <= ratio - 1.0 <= 1e-14
 
 
 def test_scaling_law_on_fixed_grids():

@@ -217,6 +217,28 @@ def test_usage_error_exits_two(capsys):
     assert main(["chain", "--f", "x"]) == 2  # missing required flags
 
 
+def test_one_parser_per_process_answers_as_fresh_parsers_do(capsys, monkeypatch):
+    import hhcert.cli
+
+    sequence = [
+        ["chain", "--f", "x"],
+        ["--help"],
+        ["sweep", "--families", "exp_quadratic,log_affine", "--cases", "3", "--seed", "5",
+         "--json"],
+        ["maxc", "--f", "exp(x^2)", "--a", "0", "--b", "1", "--json"],
+        ["certify", "--help"],
+        ["maxc", "--f", "-x^2", "--a", "0", "--b", "1"],
+    ]
+    hhcert.cli._parser.cache_clear()
+    cached = [run(capsys, *argv) for argv in sequence]
+    assert hhcert.cli._parser.cache_info().misses == 1
+    assert hhcert.cli.build_parser() is not hhcert.cli.build_parser()
+    monkeypatch.setattr(hhcert.cli, "_parser", hhcert.cli.build_parser)
+    fresh = [run(capsys, *argv) for argv in sequence]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0, 2]
+
+
 # --------------------------------------------------------------------------
 # JSON reports
 # --------------------------------------------------------------------------
@@ -246,6 +268,21 @@ def test_json_reserializes_byte_identically(capsys):
         out = capsys.readouterr().out
         assert out.endswith("\n")
         assert dumps_canonical(json.loads(out)) + "\n" == out
+
+
+@pytest.mark.parametrize(
+    "f, a, b, status",
+    [("exp(0.5*x + 0.25)", "-1", "1", "certified_zero"),
+     ("(x+0.5)^-1", "0", "1e-4", "certified_positive")],
+    ids=["log_affine", "narrow_power"],
+)
+def test_certify_reports_the_bracket_verdict(capsys, f, a, b, status):
+    # the grid once called the first not_log_convex at c* ~ -1e-8 and the
+    # second at c* = -25.27, both from rounding noise in its ratios
+    code, out, _ = run(capsys, "certify", "--f", f, "--a", a, "--b", b, "--json")
+    outputs = json.loads(out)["outputs"]
+    assert (code, outputs["status"]) == (0, status)
+    assert outputs["c_star"] == 0.0 if status == "certified_zero" else outputs["c_star"] > 3.99
 
 
 def test_certify_json_fields(capsys):

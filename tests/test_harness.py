@@ -213,17 +213,40 @@ def test_sweep_parses_each_case_once(monkeypatch):
     assert len(texts) == 12
 
 
-def test_a_sweep_runs_each_case_through_run_case_and_certifies_it_once(monkeypatch):
-    runs, certified = [], []
-    run_case, estimate_modulus = harness.run_case, harness.estimate_modulus
+def test_a_sweep_runs_each_case_through_run_case_and_brackets_it_once(monkeypatch):
+    # every case of the three families gets a closed bracket, so the grid
+    # certifier never runs in a sweep of them
+    runs, bracketed, certified = [], [], []
+    run_case, modulus_bracket = harness.run_case, harness.modulus_bracket
     monkeypatch.setattr(harness, "run_case", lambda c, *a: runs.append(c) or run_case(c, *a))
+    monkeypatch.setattr(
+        harness, "modulus_bracket", lambda f, *a: bracketed.append(f) or modulus_bracket(f, *a)
+    )
+    monkeypatch.setattr(harness, "estimate_modulus", lambda f, *a: certified.append(f))
+    report = sweep(60, ALL_FAMILIES, seed=3)
+    assert report.cases_run == 60
+    assert [case.seed for case in runs] == list(range(60))
+    assert bracketed == [case.expression() for case in runs]
+    assert certified == []
+
+
+def test_a_case_with_an_open_bracket_goes_through_the_grid(monkeypatch):
+    # exp(|x|) is log-convex with c* = 0, but |x| is not smooth at 0, so the
+    # bracket cannot settle the verdict and the grid certifier decides it
+    case = CaseSpec(family="custom", parameters=(), a=-1.0, b=1.0, seed=0,
+                    function_text="exp(abs(x))")
+    bracket = harness.modulus_bracket(case.expression(), case.a, case.b)
+    assert bracket.status is None
+    certified = []
+    estimate_modulus = harness.estimate_modulus
     monkeypatch.setattr(
         harness, "estimate_modulus", lambda f, *a: certified.append(f) or estimate_modulus(f, *a)
     )
-    report = sweep(12, ALL_FAMILIES, seed=3)
-    assert report.cases_run == 12
-    assert [case.seed for case in runs] == list(range(12))
-    assert certified == [case.expression() for case in runs]
+    result = run_case(case)
+    assert certified == [case.expression()]
+    assert result.bracket == bracket
+    assert result.certificate.grid_size == harness.SWEEP_GRID_N
+    assert bracket.c_lo <= result.certificate.c_star <= bracket.c_up
 
 
 def test_sweep_validates_arguments():
