@@ -1,4 +1,4 @@
-"""Randomized sweep harness: generate cases, certify, check every chain.
+"""Randomized sweep harness: generate cases, bracket their moduli, check every chain.
 
 Case families (parameter ranges in brackets, intervals drawn with endpoints
 in [-2, 2] and b - a >= 0.1; every generated f is positive by construction):
@@ -12,19 +12,17 @@ in [-2, 2] and b - a >= 0.1; every generated f is positive by construction):
 
 Each sweep case gets its own substream spawned from one seed, so reports
 are bit-identical across reruns and independent of execution order.  A
-sweep brackets each case's modulus once with ``modulus_bracket`` and runs
-the grid certifier only where the bracket leaves the verdict open, which it
-never does on the three families.  It draws c = c_lo * u with u in (0, 1]
-where the bracket proves c_lo > 0, which is conservative by proof, and
-c = c_star * u where only the grid finds a positive modulus.  It passes c,
-the bracket and any certificate to ``run_case``, which parses the
-expression once and assembles every chain from one quadrature pass.  The
-Dragomir-Mond chain runs for every case (it only needs positivity); the
-strengthened chain and the product bound run when c is given.  A check
-that refuses its case (an error of ``chains._REFUSALS``, on which the CLI
-exits 2) records not_applicable.  Failures of the "as printed" product
-bound are tallied separately and never fail a sweep: they document a
-typeset discrepancy, not a property of f.
+sweep brackets each case's modulus once with ``modulus_bracket`` and draws
+c = c_lo * u with u in (0, 1] where the bracket proves c_lo > 0, which is
+conservative by proof; every other case gets no c.  It passes c and the
+bracket to ``run_case``, which parses the expression once and assembles
+every chain from one quadrature pass.  The Dragomir-Mond chain runs for
+every case (it only needs positivity); the strengthened chain and the
+product bound run when c is given.  A check that refuses its case (an
+error of ``chains._REFUSALS``, on which the CLI exits 2) records
+not_applicable.  Failures of the "as printed" product bound are tallied
+separately and never fail a sweep: they document a typeset discrepancy,
+not a property of f.
 """
 
 from __future__ import annotations
@@ -36,13 +34,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import chains
-from .certify import (
-    CertStatus,
-    ModulusBracket,
-    ModulusCertificate,
-    estimate_modulus,
-    modulus_bracket,
-)
+from .certify import CertStatus, ModulusBracket, modulus_bracket
 from .expr import Expression, parse
 from .quadrature import _validate_tolerance
 
@@ -76,13 +68,6 @@ HOLDS = "holds"
 VIOLATED = "violated"
 NOT_APPLICABLE = "not_applicable"
 
-# Grid certifier resolution for the sweep cases whose bracket is open;
-# coarser than the certify-module defaults to bound a sweep's work.  The grid
-# minimum is an upper estimate of c*, so a modulus drawn from it is not
-# guaranteed conservative.
-SWEEP_GRID_N = 16
-SWEEP_REFINE_ROUNDS = 3
-
 
 @dataclass(frozen=True)
 class CaseSpec:
@@ -106,12 +91,11 @@ class CaseSpec:
 @dataclass(frozen=True)
 class CaseResult:
     case: CaseSpec
-    certificate: Optional[ModulusCertificate]  # the grid's, run only where the bracket is open
     c: Optional[float]
     outcomes: Dict[str, str]
     min_margins: Dict[str, Optional[float]]
     witness_pairs: Dict[str, Optional[Tuple[str, str]]]
-    bracket: Optional[ModulusBracket] = None
+    bracket: Optional[ModulusBracket] = None  # the proof a sweep's c rests on
 
 
 @dataclass(frozen=True)
@@ -178,43 +162,19 @@ def _chain_outcome(report) -> Tuple[str, float, Tuple[str, str]]:
     return (HOLDS if report.holds else VIOLATED), report.min_margin, pair
 
 
-def _certify(
-    case: CaseSpec, grid_n: int, refine_rounds: int
-) -> Tuple[Optional[ModulusBracket], Optional[ModulusCertificate]]:
-    """The case's modulus bracket and, only where the bracket is open, its grid certificate.
-
-    Either is None where its computation refuses the case.
-    """
-    f = case.expression()
-    try:
-        bracket = modulus_bracket(f, case.a, case.b)
-    except chains._REFUSALS:
-        return None, None
-    if bracket.status is not None:
-        return bracket, None
-    try:
-        return bracket, estimate_modulus(f, case.a, case.b, grid_n, refine_rounds)
-    except chains._REFUSALS:
-        return bracket, None
-
-
 def run_case(
     case: CaseSpec,
     c: Optional[float] = None,
     tol: float = chains.DEFAULT_TOL,
     margin_tol: float = chains.DEFAULT_MARGIN_TOL,
-    grid_n: int = SWEEP_GRID_N,
-    refine_rounds: int = SWEEP_REFINE_ROUNDS,
-    certificate: Optional[ModulusCertificate] = None,
     bracket: Optional[ModulusBracket] = None,
 ) -> CaseResult:
-    """Certify one case and run every applicable chain check.
+    """Run every applicable chain check of one case at modulus ``c``.
 
     The strengthened chain and the product bound run only when ``c`` is
     given: a sweep passes c = c_lo * u for a case whose bracket proves a
-    positive modulus, with the bracket, and tests may force any c, including
-    infeasible ones.  Without a bracket or a certificate the case is
-    bracketed here, and certified on the grid where the bracket is open.
+    positive modulus, and tests may force any c, including infeasible ones.
+    ``bracket`` is only recorded in the result, as the proof c rests on.
     """
     outcomes: Dict[str, str] = {kind: NOT_APPLICABLE for kind in CHAIN_KINDS}
     margins: Dict[str, Optional[float]] = {kind: None for kind in CHAIN_KINDS}
@@ -222,9 +182,6 @@ def run_case(
 
     f = case.expression()
     a, b = case.a, case.b
-    if bracket is None and certificate is None:
-        bracket, certificate = _certify(case, grid_n, refine_rounds)
-
     try:
         m = chains._means(f, a, b, tol)
         dm = chains._dm_assemble(f, a, b, m, margin_tol)
@@ -249,7 +206,6 @@ def run_case(
 
     return CaseResult(
         case=case,
-        certificate=certificate,
         c=c,
         outcomes=outcomes,
         min_margins=margins,
@@ -264,8 +220,6 @@ def sweep_results(
     seed: int = 0,
     tol: float = chains.DEFAULT_TOL,
     margin_tol: float = chains.DEFAULT_MARGIN_TOL,
-    grid_n: int = SWEEP_GRID_N,
-    refine_rounds: int = SWEEP_REFINE_ROUNDS,
 ) -> Tuple[CaseResult, ...]:
     """Run ``n_cases`` generated cases and return their results in order.
 
@@ -292,16 +246,13 @@ def sweep_results(
         family = families[int(rng.integers(len(families)))] if len(families) > 1 else families[0]
         u = 1.0 - float(rng.random())  # in (0, 1]
         case = generate_case(family, rng, seed=index)
-        bracket, certificate = _certify(case, grid_n, refine_rounds)
-        if bracket is not None and bracket.status is CertStatus.CERTIFIED_POSITIVE:
-            c = bracket.c_lo * u
-        elif certificate is not None and certificate.status is CertStatus.CERTIFIED_POSITIVE:
-            c = certificate.c_star * u
-        else:
-            c = None
-        results.append(
-            run_case(case, c, tol, margin_tol, grid_n, refine_rounds, certificate, bracket)
-        )
+        try:
+            bracket = modulus_bracket(case.expression(), case.a, case.b)
+        except chains._REFUSALS:
+            bracket = None
+        proved = bracket is not None and bracket.status is CertStatus.CERTIFIED_POSITIVE
+        c = bracket.c_lo * u if proved else None
+        results.append(run_case(case, c, tol, margin_tol, bracket))
     return tuple(results)
 
 
@@ -352,15 +303,11 @@ def sweep(
     seed: int = 0,
     tol: float = chains.DEFAULT_TOL,
     margin_tol: float = chains.DEFAULT_MARGIN_TOL,
-    grid_n: int = SWEEP_GRID_N,
-    refine_rounds: int = SWEEP_REFINE_ROUNDS,
 ) -> SweepReport:
     """Run ``n_cases`` generated cases and aggregate verdicts by chain kind.
 
     Rerunning with the same arguments reproduces the report bit-identically.
     """
-    results = sweep_results(
-        n_cases, families, seed, tol, margin_tol, grid_n, refine_rounds
-    )
+    results = sweep_results(n_cases, families, seed, tol, margin_tol)
     return aggregate_results(results, tuple(families), seed)
 

@@ -45,6 +45,10 @@ __all__ = ["QuadratureResult", "IntegrandError", "integrate", "mean_integral"]
 
 _EPS = sys.float_info.epsilon
 
+# Absolute tolerance of an integral when the caller names none; the chains,
+# the CLI and the sweep read it from here too.
+DEFAULT_TOL = 1e-10
+
 # Kronrod-15 abscissae (positive half) and weights; Gauss-7 weights.
 _XGK_POS = (
     0.991455371120812639206854697526329,
@@ -170,7 +174,7 @@ def integrate(
     g: Callable,
     a: float,
     b: float,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     max_depth: int = 50,
 ) -> QuadratureResult:
     """Integrate ``g`` over [a, b] to absolute tolerance ``tol``.
@@ -232,6 +236,6 @@ def _integrate_expression(f: Expression, a: float, b: float, tol: float) -> Quad
         raise  # pragma: no cover - scalar evaluation succeeded unexpectedly
 
 
-def mean_integral(f: Expression, a: float, b: float, tol: float = 1e-10) -> float:
+def mean_integral(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     """(1/(b-a)) * integral of f over [a, b]."""
     return _integrate_expression(f, a, b, tol).value / (b - a)

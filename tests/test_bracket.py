@@ -6,6 +6,9 @@ value of f a tight rigorous enclosure that hhcert's must contain.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import mpmath
@@ -14,6 +17,7 @@ from mpmath.libmp.libmpf import ComplexResult
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hhcert
 from hhcert import calculus, expr
 from hhcert.certify import CertStatus, estimate_modulus, modulus_bracket
 from hhcert.expr import Apply, Const, Num, Var, parse
@@ -412,6 +416,32 @@ def test_trees_past_the_node_budget_leave_the_bracket_open(monkeypatch):
     monkeypatch.setattr(calculus, "NODE_BUDGET", 5)
     bracket = modulus_bracket(f, 0.0, 1.0)
     assert (bracket.c_lo, bracket.c_up, bracket.status) == (-math.inf, math.inf, None)
+
+
+_LAZY_CALCULUS = """
+import sys
+import hhcert
+f = hhcert.parse("exp(x^2)")
+hhcert.dragomir_mond_chain(f, 0.0, 1.0)
+hhcert.theorem1_chain(f, 0.0, 1.0, 0.5)
+hhcert.theorem2_bound(f, 0.0, 1.0, 0.5)
+hhcert.integrate(f.eval_array, 0.0, 1.0)
+hhcert.max_feasible_c(f, 0.0, 1.0)
+before = "hhcert.calculus" in sys.modules
+hhcert.modulus_bracket(f, 0.0, 1.0)
+print(before, "hhcert.calculus" in sys.modules)
+"""
+
+
+def test_calculus_loads_on_the_first_bracket_and_not_before():
+    # an eager import of the d/dx tables raised the peak RSS of every run
+    # that only evaluates chains, so they load on the first modulus_bracket
+    src = os.path.dirname(os.path.dirname(hhcert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _LAZY_CALCULUS], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]
 
 
 # --------------------------------------------------------------------------

@@ -379,6 +379,16 @@ def test_maxc_does_not_run_the_certifier(monkeypatch):
     assert max_feasible_c(EXP_X2, 0.0, 1.0) == expected
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: the verdict tolerance adds about 6*tol/w^2 to max_feasible_c, "
+    "so at w = 1e-5 it returns 7.0, the tolerance's answer rather than the chain's",
+)
+def test_maxc_on_a_narrow_interval_is_the_chains_answer():
+    # exp(x^2) on [0, w] has a largest feasible c that tends to 1 as w -> 0
+    assert max_feasible_c(EXP_X2, 0.0, 1e-5) == pytest.approx(1.0, rel=0.01)
+
+
 def test_maxc_serializes_f_at_most_once(monkeypatch):
     # max_feasible_c builds two to eight reports only to read their verdicts;
     # each carries f's canonical text, which is built once per expression

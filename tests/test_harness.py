@@ -1,9 +1,12 @@
 """Sweep harness tests: generation ranges, determinism, tallies, soundness."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hhcert import chains, harness
+from hhcert.certify import CertStatus, ModulusBracket
 from hhcert.harness import (
     ALL_FAMILIES,
     CHAIN_KINDS,
@@ -213,40 +216,69 @@ def test_sweep_parses_each_case_once(monkeypatch):
     assert len(texts) == 12
 
 
+def _no_grid(*args, **kwargs):
+    raise AssertionError("the grid certifier ran")
+
+
 def test_a_sweep_runs_each_case_through_run_case_and_brackets_it_once(monkeypatch):
-    # every case of the three families gets a closed bracket, so the grid
-    # certifier never runs in a sweep of them
-    runs, bracketed, certified = [], [], []
+    # the bracket is the sweep's one route to a modulus, so no sweep walks the grid
+    runs, bracketed = [], []
     run_case, modulus_bracket = harness.run_case, harness.modulus_bracket
     monkeypatch.setattr(harness, "run_case", lambda c, *a: runs.append(c) or run_case(c, *a))
     monkeypatch.setattr(
         harness, "modulus_bracket", lambda f, *a: bracketed.append(f) or modulus_bracket(f, *a)
     )
-    monkeypatch.setattr(harness, "estimate_modulus", lambda f, *a: certified.append(f))
+    monkeypatch.setattr("hhcert.certify._min_over_grid", _no_grid)
     report = sweep(60, ALL_FAMILIES, seed=3)
     assert report.cases_run == 60
     assert [case.seed for case in runs] == list(range(60))
     assert bracketed == [case.expression() for case in runs]
-    assert certified == []
 
 
-def test_a_case_with_an_open_bracket_goes_through_the_grid(monkeypatch):
-    # exp(|x|) is log-convex with c* = 0, but |x| is not smooth at 0, so the
-    # bracket cannot settle the verdict and the grid certifier decides it
-    case = CaseSpec(family="custom", parameters=(), a=-1.0, b=1.0, seed=0,
-                    function_text="exp(abs(x))")
-    bracket = harness.modulus_bracket(case.expression(), case.a, case.b)
-    assert bracket.status is None
-    certified = []
-    estimate_modulus = harness.estimate_modulus
-    monkeypatch.setattr(
-        harness, "estimate_modulus", lambda f, *a: certified.append(f) or estimate_modulus(f, *a)
-    )
-    result = run_case(case)
-    assert certified == [case.expression()]
-    assert result.bracket == bracket
-    assert result.certificate.grid_size == harness.SWEEP_GRID_N
-    assert bracket.c_lo <= result.certificate.c_star <= bracket.c_up
+def test_a_case_with_an_open_bracket_gets_no_modulus(monkeypatch):
+    # a bracket that proves no positive c_lo leaves the case without a c, so
+    # the strengthened checks do not run and no grid is walked in its place
+    open_bracket = ModulusBracket(c_lo=-math.inf, c_up=math.inf, status=None)
+    monkeypatch.setattr(harness, "modulus_bracket", lambda f, a, b: open_bracket)
+    monkeypatch.setattr("hhcert.certify._min_over_grid", _no_grid)
+    (result,) = harness.sweep_results(1, ("exp_quadratic",), seed=3)
+    assert result.bracket is open_bracket
+    assert result.c is None
+    assert result.outcomes[KIND_T1] == result.outcomes[KIND_T2] == "not_applicable"
+    assert result.outcomes[KIND_DM] == "holds"
+
+
+def _closed_form_modulus(case: CaseSpec) -> float:
+    # c* from the draw's parameters alone: g'' = 2 alpha for exp_quadratic, and
+    # f and g'' of (x + s)^p with p < 0 both reach their minimum at b
+    if case.family == "exp_quadratic":
+        alpha, beta, gamma = case.parameters
+        t = min(max(-beta / (2.0 * alpha), case.a), case.b) if alpha > 0.0 else case.a
+        lowest = min(alpha * x * x + beta * x + gamma for x in (case.a, case.b, t))
+        return alpha * math.exp(lowest)
+    s, p = case.parameters
+    return (-p / 2.0) * (case.b + s) ** (p - 2.0)
+
+
+def test_every_sweep_modulus_is_conservative_by_proof():
+    # Theorems 1 and 2 hold only for c <= c*, so a sweep confirms them only if
+    # every c it draws is proved; log_affine (c* = 0) and scaled_power with
+    # p >= 0 get none
+    results = harness.sweep_results(300, ALL_FAMILIES, seed=20260809)
+    assert {result.case.family for result in results} == set(ALL_FAMILIES)
+    drawn = 0
+    for result in results:
+        case = result.case
+        proved = result.bracket.status is CertStatus.CERTIFIED_POSITIVE
+        assert (result.c is None) == (not proved), case
+        if result.c is None:
+            continue
+        drawn += 1
+        assert case.family == "exp_quadratic" or (
+            case.family == "scaled_power" and case.parameters[1] < 0.0
+        ), case
+        assert 0.0 < result.c <= _closed_form_modulus(case), case
+    assert drawn >= 100
 
 
 def test_sweep_validates_arguments():
