@@ -10,8 +10,9 @@ for all x, y in [a, b] and lam in (0, 1).  The defect ratio of a triple,
 
 is the largest c for which the inequality holds at that triple, so the
 maximal modulus c* is the infimum of the ratio over admissible triples.
-``estimate_modulus`` estimates that infimum by a uniform grid search
-followed by local refinement around the running minimizer.
+``estimate_modulus`` estimates that infimum by a uniform grid search,
+followed by local refinement around the running minimizer wherever the
+grid still decides the reported modulus (see below).
 
 The numerator is evaluated in the log domain as
 
@@ -44,9 +45,11 @@ symbolic derivatives and their outward-rounded interval enclosures, with
 the verdict they settle.  ``estimate_modulus`` reports the proved c_lo
 where it is positive and otherwise clips the grid infimum into the
 bracket, so a certified_positive c_star never exceeds c*, up to the one
-ulp of libm error the enclosures assume.  The certificate carries
-grid_size and refinement_rounds so callers can judge how hard the box was
-searched.
+ulp of libm error the enclosures assume.  Where the bracket alone fixes
+c_star (c_lo > 0, or c_lo = c_up as where g'' vanishes identically), the
+refinement rounds are skipped: no grid value could move it.  The
+certificate carries grid_size and refinement_rounds, the rounds actually
+searched, so callers can judge how hard the box was searched.
 """
 
 from __future__ import annotations
@@ -476,19 +479,23 @@ def estimate_modulus(
     """Estimate the maximal strong log-convexity modulus of f on [a, b].
 
     Samples x and y on a uniform grid over [a, b] and lam on the uniform
-    interior grid j/(grid_n+1), then performs ``refine_rounds`` rounds of
-    local search in boxes centered on the running witness, each box half
-    the width of the previous one (clipped to the domain).  The running
-    minimum over everything sampled, which extra rounds never raise, is then
-    combined with ``modulus_bracket``: c_star is the bracket's proved c_lo
-    where c_lo > 0, and otherwise the grid minimum clipped into
-    [c_lo, c_up].  The status is the bracket's where the bracket settles it
+    interior grid j/(grid_n+1), then brackets the modulus with
+    ``modulus_bracket``: c_star is the bracket's proved c_lo where
+    c_lo > 0, and otherwise the grid minimum clipped into [c_lo, c_up].
+    Only where that clip leaves c_star to the grid (the
+    bracket is open or settles not_log_convex) does it perform up to
+    ``refine_rounds`` rounds of local search in boxes centered on the
+    running witness, each box half the width of the previous one (clipped
+    to the domain); the running minimum over everything sampled, which
+    extra rounds never raise, is what is clipped.  ``refinement_rounds`` of
+    the certificate counts the rounds searched, 0 where the bracket fixes
+    c_star.  The status is the bracket's where the bracket settles it
     (certified_zero exactly where g'' vanishes identically), and otherwise
     follows the sign of c_star, with |c_star| <= ZERO_TOLERANCE as zero.
     Raises ValueError unless a < b are finite with a finite width b - a,
     when the refine_rounds + 1 grids of grid_n^3 triples, each counted as at
-    least 2**13, exceed TRIPLE_BUDGET, and when the grid minimum is not
-    finite.
+    least 2**13, exceed TRIPLE_BUDGET (charged before sampling, whether or
+    not the rounds run), and when the grid minimum is not finite.
     """
     a, b = _validate_interval(a, b)
     if grid_n < 3:
@@ -501,8 +508,13 @@ def estimate_modulus(
     xs = _grid(a, b, grid_n)
     lams = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
     best, witness = _min_over_grid(f, xs, xs, lams)
+    bracket = modulus_bracket(f, a, b)
+    # every sampled ratio, and so the grid minimum, is an upper estimate of
+    # c*: where c_lo > 0 proves a modulus, c_star is that proved one, and
+    # where c_lo = c_up the clip fixes it, so no round could move c_star
+    rounds = 0 if bracket.c_lo > 0.0 or bracket.c_lo == bracket.c_up else refine_rounds
 
-    for round_index in range(1, refine_rounds + 1):
+    for round_index in range(1, rounds + 1):
         wx, wy, wl = witness
         half_x = (b - a) * 0.5 ** (round_index + 1)
         half_l = 0.5 ** (round_index + 1)
@@ -515,9 +527,6 @@ def estimate_modulus(
 
     if not math.isfinite(best):
         raise ValueError(f"the sampled modulus c_star is {best!r}; no certificate can rest on it")
-    bracket = modulus_bracket(f, a, b)
-    # every sampled ratio, and so the grid minimum, is an upper estimate of
-    # c*: where c_lo > 0 proves a modulus, c_star is that proved one
     c_star = bracket.c_lo if bracket.c_lo > 0.0 else min(max(best, bracket.c_lo), bracket.c_up)
     if bracket.status is not None:
         status = bracket.status
@@ -531,7 +540,7 @@ def estimate_modulus(
         c_star=c_star,
         witness=witness,
         grid_size=grid_n,
-        refinement_rounds=refine_rounds,
+        refinement_rounds=rounds,
         status=status,
     )
 

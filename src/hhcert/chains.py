@@ -36,7 +36,10 @@ rows that evaluates f twice per node, and each check, and ``max_feasible_c``,
 assembles its terms from that one result.  The strengthened chain at c = 0
 therefore equals terms 1, 3, 4, 5, 6 of the six-term chain bit for bit by
 construction: the same numbers, plus exact additions of 0.0.  The classical
-chain needs no positivity and uses ``mean_integral``.
+chain needs no positivity and integrates f alone.  An integral whose error
+estimate misses its tolerance, both as an integral and as a mean (the depth
+cap or the roundoff floor stopped it), raises a ValueError naming the rows
+that missed, so no verdict rests on it.
 
 Verdicts (the product bound's as the chain lhs <= rhs) use a margin
 tolerance scaled by max(1, largest |term|), and each quadrature row scales
@@ -59,7 +62,14 @@ import numpy as np
 from . import means
 from .certify import NotPositiveError, _positive_values
 from .expr import Expression, ExpressionError
-from .quadrature import DEFAULT_TOL, IntegrandError, _validate_interval, integrate, mean_integral
+from .quadrature import (
+    DEFAULT_TOL,
+    IntegrandError,
+    QuadratureResult,
+    _integrate_expression,
+    _validate_interval,
+    integrate,
+)
 
 __all__ = [
     "ChainReport",
@@ -139,6 +149,35 @@ class _Means(NamedTuple):
     end_avg: float  # A(f(a), f(b))
 
 
+# the integrands of _means's rows, as errors name them
+_MEANS_ROWS = ("f(x)", "ln f(x)", "sqrt(f(x)*f(a+b-x))", "f(x)*f(a+b-x)")
+
+
+def _require_converged(result: QuadratureResult, rows, tols, a: float, b: float) -> None:
+    """Refuse a verdict on a mean whose integral missed its tolerance.
+
+    The chains read means, so a row passes when its error estimate meets
+    its tolerance as an integral (``converged``) or, divided by b - a, as a
+    mean: on an interval wider than 1 the roundoff floor alone can keep an
+    integral above an absolute tolerance that its mean meets, as for f = 1
+    on [-1e160, 1e160].  ``rows`` names the integrand of each row.
+    """
+    width = max(1.0, b - a)
+    errs = np.atleast_1d(result.error_estimate)
+    passed = errs / width <= tols
+    if passed.all():
+        return
+    missed = [
+        f"{row} (error estimate {err!r} > tolerance {row_tol * width!r})"
+        for row, err, row_tol, ok in zip(rows, errs.tolist(), np.atleast_1d(tols).tolist(), passed)
+        if not ok
+    ]
+    raise ValueError(
+        f"the integral over [{a!r}, {b!r}] did not converge for {', '.join(missed)}; "
+        "no verdict can rest on it"
+    )
+
+
 def _means(f: Expression, a: float, b: float, tol: float) -> _Means:
     """The quantities of the positive chains, with one quadrature pass.
 
@@ -161,10 +200,11 @@ def _means(f: Expression, a: float, b: float, tol: float) -> _Means:
     # the product row is checked finite, so the largest double bounds it too
     tols = tol * np.array([scale, log_scale, scale, min(scale * scale, sys.float_info.max)])
     try:
-        sums = integrate(rows, a, b, tols).value
+        result = integrate(rows, a, b, tols)
     except IntegrandError as exc:  # rows has checked f itself, so the product overflowed
         raise ValueError(f"f(x)*f(a+b-x) overflows at x={exc.x!r}") from exc
-    mean_f, mean_log, mean_geo, mean_prod = (sums / (b - a)).tolist()
+    _require_converged(result, _MEANS_ROWS, tols, a, b)
+    mean_f, mean_log, mean_geo, mean_prod = (result.value / (b - a)).tolist()
     log_mean, end_avg = means.logarithmic_mean(fa, fb), means.arithmetic_mean(fa, fb)
     return _Means(fa, fb, fm, mean_f, math.exp(mean_log), mean_geo, mean_prod, log_mean, end_avg)
 
@@ -232,9 +272,11 @@ def classical_hh_terms(
     fb = f(b)
     fm = f((a + b) / 2.0)
     scale = max(1.0, abs(fa), abs(fb), abs(fm))
+    result = _integrate_expression(f, a, b, tol * scale)
+    _require_converged(result, ("f(x)",), tol * scale, a, b)
     terms = [
         ("midpoint_value", fm),
-        ("mean_integral", mean_integral(f, a, b, tol * scale)),
+        ("mean_integral", result.value / (b - a)),
         ("endpoint_average", (fa + fb) / 2.0),
     ]
     return _report(f, a, b, 0.0, terms, margin_tol)

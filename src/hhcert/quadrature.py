@@ -15,7 +15,7 @@ that does not depend on the batch.  An integrand may return k rows, one
 per function, with k tolerances; a panel is then accepted only when every
 row meets its own share (or roundoff floor).
 
-Three guards keep the refinement honest:
+Four guards keep the refinement honest and bounded:
 
 * a panel whose K15 sum or error estimate is not finite (the integral
   overflows; no split could accept it) raises a ValueError, not a warning;
@@ -24,7 +24,10 @@ Three guards keep the refinement honest:
   (bisection cannot beat double precision);
 * refinement depth is capped (default 50); panels cut off there still
   contribute their best estimate and the result reports converged=False
-  whenever the summed estimate misses the tolerance.
+  whenever the summed estimate misses the tolerance;
+* a call that would evaluate more than ``EVALUATION_BUDGET`` abscissae is
+  refused with a ValueError before the chunk that would pass it, so no
+  integrand buys unbounded time or memory below the depth cap.
 
 Accepted panels are summed in ascending abscissa order, whatever level
 accepted them, so results are bit-reproducible.
@@ -41,7 +44,7 @@ import numpy as np
 
 from .expr import Expression
 
-__all__ = ["QuadratureResult", "IntegrandError", "integrate", "mean_integral"]
+__all__ = ["EVALUATION_BUDGET", "QuadratureResult", "IntegrandError", "integrate", "mean_integral"]
 
 _EPS = sys.float_info.epsilon
 
@@ -100,6 +103,12 @@ _WEIGHTS = np.array([_normalize(_WGK), _normalize(_WG)])
 # Panels per integrand call.  At 512 panels one call sees 7,680 abscissae,
 # so a 4-row integrand's values take 240 kB however many panels a level has.
 _CHUNK_PANELS = 512
+
+# Most abscissae one integrate call may evaluate: 69,905 panels, some 1,800
+# times the 585 evaluations of the largest integral in the benchmark's
+# workloads, where exp(sin(1/x)) on [1e-6, 1] once took 24.4M evaluations
+# and 109 MB.
+EVALUATION_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -184,9 +193,10 @@ def integrate(
     enough).  It may instead return a (k, n) array, one row per integrand;
     ``tol`` then holds k tolerances (or one for all rows), and ``value``
     and ``error_estimate`` of the result are arrays of k entries.  Raises
-    ValueError on an overflow, a tolerance refused by ``_validate_tolerance``
-    or an interval refused by ``_validate_interval``, the rule of the
-    certifier and of every chain.
+    ValueError on an overflow, on more than ``EVALUATION_BUDGET``
+    evaluations, a tolerance refused by ``_validate_tolerance`` or an
+    interval refused by ``_validate_interval``, the rule of the certifier
+    and of every chain.
     """
     a, b = _validate_interval(a, b)
     tols = _validate_tolerance(tol)
@@ -201,8 +211,13 @@ def integrate(
         split = []
         for start in range(0, los.size, _CHUNK_PANELS):
             lo, hi = los[start : start + _CHUNK_PANELS], his[start : start + _CHUNK_PANELS]
-            value, raw, floor = _panels(g, lo, hi)
             evaluations += 15 * lo.size
+            if evaluations > EVALUATION_BUDGET:
+                raise ValueError(
+                    f"integrating over [{a!r}, {b!r}] would take {evaluations} evaluations "
+                    f"by depth {depth}, above the budget of {EVALUATION_BUDGET} evaluations"
+                )
+            value, raw, floor = _panels(g, lo, hi)
             done = np.logical_and.reduce((raw <= np.maximum(share, floor)).reshape(-1, lo.size))
             sums = np.array((value, np.maximum(raw, floor)))
             if depth >= max_depth or done.all():

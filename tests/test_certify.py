@@ -23,6 +23,7 @@ from hhcert.certify import (
 from hhcert.expr import DomainError, EvaluationError, Expression, parse
 
 EXP_X2 = parse("exp(x^2)")
+EXP_MINUS_X2 = parse("exp(-x^2)")  # log-concave: the bracket settles not_log_convex
 EXP_X = parse("exp(x)")
 ONE = parse("1")
 POWER = parse("(x + 0.3)^1.5")  # log-concave: negative minimum
@@ -304,10 +305,8 @@ def test_lam_clipped_walk_matches_the_full_grid_bit_for_bit(monkeypatch, f, tile
     assert result == _grid_min(reference, xs, ys, lams)
 
 
-def test_one_evaluator_call_per_grid_and_per_tile(monkeypatch):
-    # grid 16 is one tile per round: f on xs, then f on each tile's interior
-    # points for the first grid; f on xs and ys together, then on the tile,
-    # for each of the three refinement rounds
+def _evaluator_calls(monkeypatch, run) -> tuple:
+    """What ``run()`` returns, and the size of each evaluator call it makes."""
     import hhcert.expr
 
     evaluate_array = hhcert.expr.evaluate_array
@@ -318,9 +317,59 @@ def test_one_evaluator_call_per_grid_and_per_tile(monkeypatch):
         return evaluate_array(f, xs)
 
     monkeypatch.setattr(hhcert.expr, "evaluate_array", counting)
-    estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=16, refine_rounds=3)
+    result = run()
+    monkeypatch.undo()
+    return result, calls
+
+
+def test_one_evaluator_call_per_grid_and_per_tile(monkeypatch):
+    # grid 16 is one tile per round: f on xs, then f on each tile's interior
+    # points for the first grid; f on xs and ys together, then on the tile,
+    # for each of the three refinement rounds, which exp(-x^2) runs because
+    # its bracket leaves c_star to the grid
+    _, calls = _evaluator_calls(
+        monkeypatch, lambda: estimate_modulus(EXP_MINUS_X2, 0.0, 1.0, grid_n=16, refine_rounds=3))
     assert len(calls) == 8
     assert calls[0] == 16 and calls[2::2] == [32, 32, 32]  # xs and ys together
+
+
+def test_a_bracket_proved_modulus_searches_the_first_grid_only(monkeypatch):
+    # c_lo > 0 (exp(x^2)) or c_lo = c_up = 0 (exp(0.7*x - 0.3)) fixes c_star,
+    # so the rounds are skipped: f on xs and on the one tile, nothing more
+    for f in (EXP_X2, parse("exp(0.7*x - 0.3)")):
+        cert, calls = _evaluator_calls(monkeypatch, lambda: estimate_modulus(f, 0.0, 1.0, 16, 3))
+        assert calls == [16, 16**3]
+        assert cert.refinement_rounds == 0
+
+
+def test_an_open_bracket_searches_every_round(monkeypatch):
+    # exp(x^2) with its bracket forced open: the grid decides c_star again
+    import hhcert.certify as certify_module
+
+    monkeypatch.setattr(certify_module, "modulus_bracket", lambda f, a, b: certify_module._OPEN)
+    cert = estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=16, refine_rounds=3)
+    monkeypatch.undo()
+    assert cert.refinement_rounds == 3
+    assert cert.status is CertStatus.CERTIFIED_POSITIVE
+    # the refined grid minimum overshoots the proved modulus 1 from above
+    assert cert.c_star > estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=16, refine_rounds=3).c_star
+
+
+@pytest.mark.parametrize(
+    "text, c_star_hex, status",
+    [
+        ("exp(x^2)", "0x1.ffffffffffffdp-1", CertStatus.CERTIFIED_POSITIVE),
+        ("(x+0.5)^-1.5", "0x1.7398bf1d1ee66p-3", CertStatus.CERTIFIED_POSITIVE),
+        ("exp(0.7*x - 0.3)", "0x0.0p+0", CertStatus.CERTIFIED_ZERO),
+        ("exp(-x^2)", "-0x1.ffffffffffffdp-1", CertStatus.NOT_LOG_CONVEX),
+    ],
+)
+def test_c_star_and_status_are_pinned_bit_for_bit(text, c_star_hex, status):
+    # the bits a search of all three rounds gives: skipping the rounds where
+    # the bracket fixes c_star must move neither
+    cert = estimate_modulus(parse(text), 0.0, 1.0, grid_n=16, refine_rounds=3)
+    assert cert.c_star.hex() == c_star_hex
+    assert cert.status is status
 
 
 def test_the_triple_budget_is_checked_before_sampling(monkeypatch):
@@ -386,15 +435,20 @@ def test_equal_minima_pick_the_lexicographically_first_witness():
 
 
 def test_refinement_never_raises_c_star():
-    previous = np.inf
+    # (x + 0.3)^1.5's bracket [-12.4, -1.37] leaves c_star to the grid, and
+    # each round lowers it; exp(-x^2)'s grid minimum sits above its c_up, so
+    # the clip would hide what the rounds do
+    values = []
     for rounds in range(5):
-        cert = estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=32, refine_rounds=rounds)
-        assert cert.c_star <= previous + 1e-15
-        previous = cert.c_star
+        cert = estimate_modulus(POWER, 0.0, 1.0, grid_n=32, refine_rounds=rounds)
+        assert cert.refinement_rounds == rounds
+        values.append(cert.c_star)
+    assert all(later <= earlier + 1e-15 for earlier, later in zip(values, values[1:]))
+    assert values[-1] < values[0]
 
 
 def test_witness_satisfies_bounds():
-    cert = estimate_modulus(EXP_X2, 0.25, 1.75, grid_n=24, refine_rounds=2)
+    cert = estimate_modulus(EXP_MINUS_X2, 0.25, 1.75, grid_n=24, refine_rounds=2)
     x, y, lam = cert.witness
     assert 0.25 <= x <= 1.75 and 0.25 <= y <= 1.75
     assert x != y

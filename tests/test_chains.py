@@ -490,6 +490,25 @@ def test_no_verdict_rests_on_a_non_finite_term(check, message):
         check()
 
 
+def test_no_verdict_rests_on_an_integral_that_did_not_converge():
+    # absolute 1e-20 is far below one ulp of these integrals, so the roundoff
+    # floor stops the quadrature short of it; every chain once gave a verdict
+    for check in (classical_hh_terms, dragomir_mond_chain,
+                  lambda f, a, b, tol: theorem1_chain(f, a, b, 0.5, tol),
+                  lambda f, a, b, tol: theorem2_bound(f, a, b, 0.5, tol=tol),
+                  lambda f, a, b, tol: max_feasible_c(f, a, b, tol=tol)):
+        with pytest.raises(ValueError, match=r"the integral over \[0.0, 1.0\] did not converge "
+                                             r"for f\(x\) \(error estimate "):
+            check(EXP_X2, 0.0, 1.0, tol=1e-20)
+
+
+def test_a_mean_within_its_tolerance_passes_on_a_wide_interval():
+    # the integral of 1 over [-1e160, 1e160] misses the absolute 1e-10 by its
+    # roundoff floor alone, but its mean is 1 to a few ulps
+    assert classical_hh_terms(ONE, -1e160, 1e160).holds
+    assert dragomir_mond_chain(ONE, -1e160, 1e160).holds
+
+
 def test_an_overflowing_integral_stops_the_chain_by_name(monkeypatch):
     # the product row f(x) f(a+b-x) = 1e300 times the half width 1e160
     # overflows in every panel; refinement once split them down to depth 50

@@ -137,6 +137,9 @@ def formats(capsys, *argv):
         # (b - a)^2 is subnormal and the solved c overflows: this once printed 0.0
         (["maxc", "--f", "exp(x^2)", "--a", "0", "--b", "1e-160"],
          "b - a = 1e-160 is too narrow for tol=1e-10: the solved c_max=inf"),
+        # this once took 24.4M evaluations and 109 MB
+        (["integrate", "--f", "exp(sin(1/x))", "--a", "1e-6", "--b", "1"],
+         f"above the budget of {2**20} evaluations"),
     ],
 )
 def test_a_report_that_fails_exits_two_alike_in_every_format(capsys, argv, message):
@@ -286,15 +289,19 @@ def test_certify_reports_the_bracket_verdict(capsys, f, a, b, status):
 
 
 def test_certify_json_fields(capsys):
-    code, out, _ = run(capsys, "certify", "--f", "exp(x^2)", "--a", "0", "--b", "1",
-                       "--grid", "32", "--refine", "2", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    outputs = doc["outputs"]
-    assert outputs["status"] == "certified_positive"
-    assert outputs["c_star"] > 0
-    assert len(outputs["witness"]) == 3
-    assert outputs["grid_size"] == 32 and outputs["refinement_rounds"] == 2
+    # exp(-x^2) is not log-convex, so its c_star is the grid's and every round
+    # is searched; exp(x^2)'s proved modulus leaves the rounds nothing to move
+    for f, status, rounds in [("exp(-x^2)", "not_log_convex", 2),
+                              ("exp(x^2)", "certified_positive", 0)]:
+        code, out, _ = run(capsys, "certify", "--f", f, "--a", "0", "--b", "1",
+                           "--grid", "32", "--refine", "2", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        outputs = doc["outputs"]
+        assert outputs["status"] == status
+        assert (outputs["c_star"] > 0) == (status == "certified_positive")
+        assert len(outputs["witness"]) == 3
+        assert outputs["grid_size"] == 32 and outputs["refinement_rounds"] == rounds
 
 
 def test_theorem2_printed_not_applicable_is_marked(capsys):

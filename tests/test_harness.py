@@ -154,6 +154,16 @@ def test_a_case_with_a_non_finite_term_is_not_applicable(monkeypatch):
     assert all(result.outcomes[kind] == "not_applicable" for kind in CHAIN_KINDS)
 
 
+def test_a_case_whose_integrals_did_not_converge_is_not_applicable():
+    # absolute 1e-20 is below the roundoff floor of exp(x^2)'s integrals on [0, 1]
+    case = CaseSpec(
+        family="custom", parameters=(), a=0.0, b=1.0, seed=0, function_text="exp(x^2)"
+    )
+    result = run_case(case, c=0.5, tol=1e-20)
+    assert all(result.outcomes[kind] == "not_applicable" for kind in CHAIN_KINDS)
+    assert run_case(case, c=0.5).outcomes[KIND_DM] == "holds"
+
+
 def test_custom_case_with_non_positive_function_is_not_applicable():
     case = CaseSpec(
         family="custom", parameters=(), a=-1.0, b=1.0, seed=0, function_text="x"

@@ -237,6 +237,37 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
         assert result.evaluations == reference.evaluations
 
 
+
+def test_the_evaluation_budget_is_checked_before_each_chunk(monkeypatch):
+    # a call that fits its budget exactly runs; with one evaluation less it is
+    # refused before the chunk that would pass the budget reaches the integrand
+    g = lambda xs: np.sqrt(np.abs(xs - 0.3))
+    needed = integrate(g, 0.0, 1.0, 1e-12).evaluations
+    for budget in (needed, needed - 1):
+        monkeypatch.setattr(quadrature, "EVALUATION_BUDGET", budget)
+        seen = []
+        run = lambda: integrate(lambda xs: seen.append(xs.size) or g(xs), 0.0, 1.0, 1e-12)
+        if budget == needed:
+            assert run().evaluations == needed
+        else:
+            with pytest.raises(ValueError, match=f"above the budget of {budget} evaluations"):
+                run()
+        assert sum(seen) <= budget
+
+
+def test_an_integral_past_the_evaluation_budget_is_refused_by_name():
+    # exp(sin(1/x)) oscillates ever faster towards 0: it once took 24.4M
+    # evaluations and 109 MB before the depth cap stopped it
+    f = parse("exp(sin(1/x))")
+    with pytest.raises(ValueError) as err:
+        integrate(f.eval_array, 1e-6, 1.0)
+    message = str(err.value)
+    assert "integrating over [1e-06, 1.0] would take" in message
+    assert f"above the budget of {2**20} evaluations" in message
+    count = int(message.split("would take ")[1].split(" ")[0])
+    assert 2**20 < count <= 2**20 + 15 * quadrature._CHUNK_PANELS
+
+
 def test_mean_integral_examples():
     assert mean_integral(parse("4.25"), -1.0, 3.0) == pytest.approx(4.25, rel=1e-15)
     assert mean_integral(parse("x"), 0.0, 2.0) == pytest.approx(1.0, rel=1e-14)
