@@ -42,14 +42,18 @@ A grid infimum is evidence, not proof: every sampled ratio, and so the
 infimum, is an upper estimate of c*.  ``modulus_bracket`` gives the proof:
 a lower bound c_lo and an upper bound c_up on c* from g = ln f, its
 symbolic derivatives and their outward-rounded interval enclosures, with
-the verdict they settle.  ``estimate_modulus`` reports the proved c_lo
-where it is positive and otherwise clips the grid infimum into the
+the verdict they settle.  Where the bracket alone fixes c_star (c_lo > 0,
+or c_lo = c_up as where g'' vanishes identically), ``estimate_modulus``
+reports the proved c_lo and samples no grid at all, since no grid value
+could move it; its witness is then the bracket edge where c_up is
+attained, the nearest other edge and lam = 1/2.  So a constant on
+[0, 1e-160], exp(x^2) there and 1e300*exp(1e20*x^2) on [0, 1e-10] are
+certified, where the grid would refuse a denominator that underflows or
+a minimum that overflows.  Elsewhere it clips the grid infimum into the
 bracket, so a certified_positive c_star never exceeds c*, up to the one
-ulp of libm error the enclosures assume.  Where the bracket alone fixes
-c_star (c_lo > 0, or c_lo = c_up as where g'' vanishes identically), the
-refinement rounds are skipped: no grid value could move it.  The
-certificate carries grid_size and refinement_rounds, the rounds actually
-searched, so callers can judge how hard the box was searched.
+ulp of libm error the enclosures assume.  The certificate carries c_lo
+and c_up, grid_size and refinement_rounds, the rounds actually searched,
+so callers can judge how hard the box was searched.
 """
 
 from __future__ import annotations
@@ -106,10 +110,15 @@ class NotPositiveError(Exception):
 @dataclass(frozen=True)
 class ModulusCertificate:
     c_star: float
-    witness: Tuple[float, float, float]  # (x, y, lam) attaining the sampled minimum
+    # (x, y, lam) attaining the sampled minimum where the grid decides c_star;
+    # where the bracket fixes it, (the edge where c_up is attained, the
+    # nearest other edge, 1/2), with no grid sampled
+    witness: Tuple[float, float, float]
     grid_size: int
     refinement_rounds: int
     status: CertStatus
+    c_lo: float  # modulus_bracket's proved c_lo <= c* <= c_up, which the status rests on
+    c_up: float
 
     @property
     def kind(self) -> Optional[ConvexityKind]:
@@ -409,6 +418,11 @@ def modulus_bracket(f: Expression, a: float, b: float) -> ModulusBracket:
     each enclosed once over 33 boxes.  Raises ValueError unless a < b are
     finite with a finite width b - a.
     """
+    return _bracket(f, a, b)[0]
+
+
+def _bracket(f: Expression, a: float, b: float) -> Tuple[ModulusBracket, int]:
+    """``modulus_bracket`` and the index of the edge where c_up is attained (0 if none is)."""
     # loaded on first use, so a process that never brackets a modulus (a
     # chain check, an integral) does not load it
     from .calculus import OverBudget, _constant, _down, _up, enclose, log_derivatives
@@ -421,17 +435,19 @@ def modulus_bracket(f: Expression, a: float, b: float) -> ModulusBracket:
         hi = np.concatenate((edges[1:], edges))
         (f_lo, f_hi), (d_lo, d_hi), (k_lo, k_hi) = enclose((f.root, g1, g2), lo, hi)
     except OverBudget:
-        return _OPEN
+        return _OPEN, 0
     pieces, points = slice(None, _BRACKET_PIECES), slice(_BRACKET_PIECES, None)
     if not f_lo[pieces].min() > 0.0:
-        return _OPEN
+        return _OPEN, 0
     if _constant(g2) == 0.0:
-        return ModulusBracket(0.0, 0.0, CertStatus.CERTIFIED_ZERO)
+        return ModulusBracket(0.0, 0.0, CertStatus.CERTIFIED_ZERO), 0
     with np.errstate(all="ignore"):
         # the upper end of [f] * [g''] at each edge, where [f] > 0; inf * 0
         # says nothing
         h_up = _up(np.where(k_hi >= 0.0, f_hi, f_lo)[points] * k_hi[points])
-        c_up = float(_up(np.where(np.isnan(h_up), math.inf, h_up).min() * 0.5))
+        h_up = np.where(np.isnan(h_up), math.inf, h_up)
+        edge = int(h_up.argmin())
+        c_up = float(_up(h_up[edge] * 0.5))
         kappa = float(k_lo[pieces].min())
         if kappa >= 0.0:
             f_min = max(float(f_lo[pieces].min()), _tangent_floor(
@@ -445,7 +461,19 @@ def modulus_bracket(f: Expression, a: float, b: float) -> ModulusBracket:
         status = CertStatus.NOT_LOG_CONVEX
     else:
         status = None
-    return ModulusBracket(c_lo, c_up, status)
+    return ModulusBracket(c_lo, c_up, status), edge
+
+
+def _edge_witness(a: float, b: float, edge: int) -> Tuple[float, float, float]:
+    """(t, s, 1/2): t the bracket's edge of that index, s the nearest other edge.
+
+    Edges can coincide on an interval a few ulps wide, so s is the nearest
+    edge distinct from t (the lower one on a tie); a < b makes one exist.
+    """
+    edges = _grid(a, b, _BRACKET_PIECES + 1)
+    t = edges[edge]
+    others = edges[edges != t]
+    return float(t), float(others[np.abs(others - t).argmin()]), 0.5
 
 
 def _tangent_floor(m, a, b, kappa, f_lo, d_lo, d_hi) -> float:
@@ -478,24 +506,25 @@ def estimate_modulus(
 ) -> ModulusCertificate:
     """Estimate the maximal strong log-convexity modulus of f on [a, b].
 
-    Samples x and y on a uniform grid over [a, b] and lam on the uniform
-    interior grid j/(grid_n+1), then brackets the modulus with
-    ``modulus_bracket``: c_star is the bracket's proved c_lo where
-    c_lo > 0, and otherwise the grid minimum clipped into [c_lo, c_up].
-    Only where that clip leaves c_star to the grid (the
-    bracket is open or settles not_log_convex) does it perform up to
-    ``refine_rounds`` rounds of local search in boxes centered on the
-    running witness, each box half the width of the previous one (clipped
-    to the domain); the running minimum over everything sampled, which
-    extra rounds never raise, is what is clipped.  ``refinement_rounds`` of
-    the certificate counts the rounds searched, 0 where the bracket fixes
-    c_star.  The status is the bracket's where the bracket settles it
-    (certified_zero exactly where g'' vanishes identically), and otherwise
-    follows the sign of c_star, with |c_star| <= ZERO_TOLERANCE as zero.
-    Raises ValueError unless a < b are finite with a finite width b - a,
-    when the refine_rounds + 1 grids of grid_n^3 triples, each counted as at
-    least 2**13, exceed TRIPLE_BUDGET (charged before sampling, whether or
-    not the rounds run), and when the grid minimum is not finite.
+    Brackets the modulus with ``modulus_bracket`` first.  Where the bracket
+    fixes c_star (c_lo > 0, or c_lo = c_up where g'' vanishes identically),
+    c_star is the proved c_lo, the status is the bracket's, and no grid is
+    sampled: every sampled ratio is an upper estimate of c*, so none could
+    move it.  The witness is then the bracket edge where c_up is attained,
+    the nearest other edge and lam = 1/2, and refinement_rounds is 0.
+
+    Otherwise (the bracket is open or settles not_log_convex) it samples x
+    and y on a uniform grid over [a, b] and lam on the uniform interior
+    grid j/(grid_n+1), then performs ``refine_rounds`` rounds of local
+    search in boxes centered on the running witness, each box half the
+    width of the previous one (clipped to the domain).  c_star is the
+    running minimum over everything sampled, which extra rounds never raise,
+    clipped into [c_lo, c_up]; the status follows its sign, with
+    |c_star| <= ZERO_TOLERANCE as zero.  Raises ValueError unless a < b are
+    finite with a finite width b - a, when the refine_rounds + 1 grids of
+    grid_n^3 triples, each counted as at least 2**13, exceed TRIPLE_BUDGET
+    (charged before the bracket, whether or not the grids are sampled), and
+    when the grid minimum is not finite.
     """
     a, b = _validate_interval(a, b)
     if grid_n < 3:
@@ -505,16 +534,17 @@ def estimate_modulus(
 
     _check_budget(grid_n, refine_rounds + 1)
 
+    bracket, edge = _bracket(f, a, b)
+    # only a certified bracket meets this: c_lo and c_up are rounded
+    # outward, so they meet only at the exact 0 of a vanishing g''
+    if bracket.c_lo > 0.0 or bracket.c_lo == bracket.c_up:
+        return ModulusCertificate(bracket.c_lo, _edge_witness(a, b, edge), grid_n, 0,
+                                  bracket.status, bracket.c_lo, bracket.c_up)
+
     xs = _grid(a, b, grid_n)
     lams = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
     best, witness = _min_over_grid(f, xs, xs, lams)
-    bracket = modulus_bracket(f, a, b)
-    # every sampled ratio, and so the grid minimum, is an upper estimate of
-    # c*: where c_lo > 0 proves a modulus, c_star is that proved one, and
-    # where c_lo = c_up the clip fixes it, so no round could move c_star
-    rounds = 0 if bracket.c_lo > 0.0 or bracket.c_lo == bracket.c_up else refine_rounds
-
-    for round_index in range(1, rounds + 1):
+    for round_index in range(1, refine_rounds + 1):
         wx, wy, wl = witness
         half_x = (b - a) * 0.5 ** (round_index + 1)
         half_l = 0.5 ** (round_index + 1)
@@ -527,22 +557,16 @@ def estimate_modulus(
 
     if not math.isfinite(best):
         raise ValueError(f"the sampled modulus c_star is {best!r}; no certificate can rest on it")
-    c_star = bracket.c_lo if bracket.c_lo > 0.0 else min(max(best, bracket.c_lo), bracket.c_up)
-    if bracket.status is not None:
-        status = bracket.status
-    elif c_star < 0.0:
+    # a not_log_convex bracket has c_up < 0, so the clip makes c_star negative
+    c_star = min(max(best, bracket.c_lo), bracket.c_up)
+    if c_star < 0.0:
         status = CertStatus.NOT_LOG_CONVEX
     elif c_star <= ZERO_TOLERANCE:
         status = CertStatus.CERTIFIED_ZERO
     else:
         status = CertStatus.CERTIFIED_POSITIVE
-    return ModulusCertificate(
-        c_star=c_star,
-        witness=witness,
-        grid_size=grid_n,
-        refinement_rounds=rounds,
-        status=status,
-    )
+    return ModulusCertificate(c_star, witness, grid_n, refine_rounds, status,
+                              bracket.c_lo, bracket.c_up)
 
 
 def check_modulus(
@@ -554,12 +578,12 @@ def check_modulus(
 ) -> ModulusCheck:
     """Check whether c (minus 1e-12) is at most the certified modulus.
 
-    The certificate is ``estimate_modulus``'s on its first grid, without
-    refinement, so the defect is the proved c_lo where the bracket proves a
-    positive modulus and the bracket-clipped grid minimum otherwise.
-    Returns the worst sampled triple either way; ok=False means c exceeds
-    what the certificate stands behind.  Raises ValueError as
-    ``estimate_modulus`` does.
+    The certificate is ``estimate_modulus``'s without refinement, so the
+    defect is the proved c_lo where the bracket fixes c_star, with no grid
+    sampled and the bracket edge witness, and otherwise the bracket-clipped
+    minimum of the first grid, with the worst sampled triple.  ok=False
+    means c exceeds what the certificate stands behind.  Raises ValueError
+    as ``estimate_modulus`` does.
     """
     c = float(c)
     if not c > 0.0:

@@ -29,6 +29,7 @@ import argparse
 import csv
 import functools
 import io
+import math
 import sys
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
@@ -142,6 +143,11 @@ def _key_value_rows(outputs: dict):
             yield key, value
 
 
+def _finite_or_none(value: float) -> Optional[float]:
+    """A bracket end for the report: an unbounded end is None (null in JSON)."""
+    return value if math.isfinite(value) else None
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -199,7 +205,8 @@ def _run_certify(args) -> _Output:
     cert = estimate_modulus(parse(args.f), args.a, args.b, args.grid, args.refine)
     inputs = {"f": args.f, "a": args.a, "b": args.b, "grid": args.grid, "refine": args.refine}
     outputs = {"c_star": cert.c_star, "witness": list(cert.witness), "grid_size": cert.grid_size,
-               "refinement_rounds": cert.refinement_rounds, "status": cert.status.value}
+               "refinement_rounds": cert.refinement_rounds, "status": cert.status.value,
+               "c_lo": _finite_or_none(cert.c_lo), "c_up": _finite_or_none(cert.c_up)}
     doc = _doc("certify", inputs, outputs)
     return _Output(doc, _key_value_rows(outputs), _certify_lines(args, cert), 0)
 
@@ -212,6 +219,8 @@ def _certify_lines(args, cert):
     yield f"witness  : x={x:.12g}  y={y:.12g}  lam={lam:.12g}"
     yield (f"status   : {cert.status.value} (grid {cert.grid_size}, "
            f"{cert.refinement_rounds} refinement rounds)")
+    yield f"c_lo     : {cert.c_lo:.15g}"
+    yield f"c_up     : {cert.c_up:.15g}"
 
 
 def _run_theorem2(args) -> _Output:

@@ -333,20 +333,93 @@ def test_one_evaluator_call_per_grid_and_per_tile(monkeypatch):
     assert calls[0] == 16 and calls[2::2] == [32, 32, 32]  # xs and ys together
 
 
-def test_a_bracket_proved_modulus_searches_the_first_grid_only(monkeypatch):
+def _tiles(monkeypatch, run) -> tuple:
+    """What ``run()`` returns, and the number of grid tiles it walks."""
+    import hhcert.certify as certify_module
+
+    kernel = certify_module._defect_tile
+    tiles = []
+
+    def counting_kernel(*args):
+        tiles.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(certify_module, "_defect_tile", counting_kernel)
+    result = run()
+    monkeypatch.undo()
+    return result, len(tiles)
+
+
+EXP_AFFINE = parse("exp(0.7*x - 0.3)")
+
+
+@pytest.mark.parametrize("f", [EXP_X2, EXP_AFFINE], ids=["exp_x2", "exp_affine"])
+def test_a_bracket_settled_modulus_samples_no_grid(monkeypatch, f):
     # c_lo > 0 (exp(x^2)) or c_lo = c_up = 0 (exp(0.7*x - 0.3)) fixes c_star,
-    # so the rounds are skipped: f on xs and on the one tile, nothing more
-    for f in (EXP_X2, parse("exp(0.7*x - 0.3)")):
-        cert, calls = _evaluator_calls(monkeypatch, lambda: estimate_modulus(f, 0.0, 1.0, 16, 3))
-        assert calls == [16, 16**3]
-        assert cert.refinement_rounds == 0
+    # so neither the first grid nor a round is walked, and f is never
+    # evaluated on a grid
+    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(f, 0.0, 1.0, 64, 3))
+    assert tiles == 0 and cert.refinement_rounds == 0 and cert.grid_size == 64
+    _, calls = _evaluator_calls(monkeypatch, lambda: estimate_modulus(f, 0.0, 1.0, 64, 3))
+    assert calls == []
+    check, tiles = _tiles(monkeypatch, lambda: check_modulus(f, 0.0, 1.0, 0.5, grid_n=64))
+    assert tiles == 0 and check.defect == cert.c_star and check.witness == cert.witness
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 3])
+def test_a_not_log_convex_modulus_walks_every_grid(monkeypatch, rounds):
+    # grid 16 is one tile: the first grid and each round's
+    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(EXP_MINUS_X2, 0.0, 1.0, 16, rounds))
+    assert tiles == 1 + rounds and cert.refinement_rounds == rounds
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [(EXP_X2, 0.0, 1.0), (EXP_AFFINE, 0.0, 1.0), (ONE, 0.0, 1.0), (EXP_X2, -1.0, 0.5),
+     (parse("(x+0.5)^-1.5"), 0.0, 1.0), (EXP_X2, 1.0, 1.0000000000000004)],
+    ids=["exp_x2", "exp_affine", "one", "exp_x2_vertex_inside", "power", "two_ulps"],
+)
+def test_a_bracket_settled_witness_bounds_c_star(f, a, b):
+    # the witness is the edge where c_up is attained, the nearest other edge
+    # and lam = 1/2; c* is the infimum of the defect ratio, so its ratio is
+    # at least the proved c_star.  On [1, 1 + 2 ulps] the 17 edges take three
+    # values, so the nearest other edge is not always the next one
+    cert = estimate_modulus(f, a, b)
+    x, y, lam = cert.witness
+    assert a <= x <= b and a <= y <= b and x != y and lam == 0.5
+    defect = log_defect(f, x, y, lam)
+    if cert.status is CertStatus.CERTIFIED_POSITIVE:
+        assert defect >= cert.c_star * (1.0 - 1e-12)
+    else:
+        assert cert.status is CertStatus.CERTIFIED_ZERO and abs(defect) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "text, a, b, c_star_hex, status",
+    [
+        ("1", 0.0, 1e-160, "0x0.0p+0", CertStatus.CERTIFIED_ZERO),
+        ("exp(x^2)", 0.0, 1e-160, "0x1.ffffffffffffdp-1", CertStatus.CERTIFIED_POSITIVE),
+        # a proved lower bound: c* is about 1e320
+        ("1e300*exp(1e20*x^2)", 0.0, 1e-10, "0x1.ffffffffffffep+1022",
+         CertStatus.CERTIFIED_POSITIVE),
+    ],
+    ids=["one_narrow", "exp_x2_narrow", "overflowing"],
+)
+def test_the_bracket_certifies_where_the_grid_would_refuse(text, a, b, c_star_hex, status):
+    # the grid's denominator underflows on [0, 1e-160] and its every ratio
+    # overflows on the third input; the bracket needs neither
+    cert = estimate_modulus(parse(text), a, b)
+    assert (cert.c_star.hex(), cert.status) == (c_star_hex, status)
+    assert cert.c_lo == cert.c_star and cert.refinement_rounds == 0
+    x, y, lam = cert.witness
+    assert a <= x < y <= b and lam == 0.5
 
 
 def test_an_open_bracket_searches_every_round(monkeypatch):
     # exp(x^2) with its bracket forced open: the grid decides c_star again
     import hhcert.certify as certify_module
 
-    monkeypatch.setattr(certify_module, "modulus_bracket", lambda f, a, b: certify_module._OPEN)
+    monkeypatch.setattr(certify_module, "_bracket", lambda f, a, b: (certify_module._OPEN, 0))
     cert = estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=16, refine_rounds=3)
     monkeypatch.undo()
     assert cert.refinement_rounds == 3
@@ -388,13 +461,14 @@ def test_the_triple_budget_is_checked_before_sampling(monkeypatch):
         raise Sampled
 
     monkeypatch.setattr(hhcert.expr, "evaluate_array", sampled)
+    # exp(-x^2) is not log-convex, so its grid is sampled; exp(x^2)'s is not
     with pytest.raises(Sampled):
-        estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=128, refine_rounds=127)
+        estimate_modulus(EXP_MINUS_X2, 0.0, 1.0, grid_n=128, refine_rounds=127)
     with pytest.raises(Sampled):
-        check_modulus(EXP_X2, 0.0, 1.0, 0.5, grid_n=645)
+        check_modulus(EXP_MINUS_X2, 0.0, 1.0, 0.5, grid_n=645)
     for grid_n in (16, 64):
         with pytest.raises(Sampled):
-            estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=grid_n, refine_rounds=3)
+            estimate_modulus(EXP_MINUS_X2, 0.0, 1.0, grid_n=grid_n, refine_rounds=3)
     for run, triples in [
         (lambda: estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=128, refine_rounds=128), 128**3 * 129),
         (lambda: check_modulus(EXP_X2, 0.0, 1.0, 0.5, grid_n=646), 646**3),
@@ -422,14 +496,18 @@ def test_tiles_stay_small_at_any_grid_size(monkeypatch):
 
     monkeypatch.setattr(certify_module, "_defect_tile", recording_kernel)
     n = 300
-    check_modulus(EXP_X2, 0.0, 1.0, 0.5, grid_n=n)
+    check_modulus(EXP_MINUS_X2, 0.0, 1.0, 0.5, grid_n=n)
     assert sum(sizes) == n**3
     assert max(sizes) <= max(certify_module._TILE_TRIPLES, n)
 
 
-def test_equal_minima_pick_the_lexicographically_first_witness():
+def test_equal_minima_pick_the_lexicographically_first_witness(monkeypatch):
     # every defect of a constant is exactly zero, so the reported witness is
-    # the first valid triple in (x, y, lam) order
+    # the first valid triple in (x, y, lam) order; a constant's bracket
+    # settles certified_zero without a grid, so it is forced open here
+    import hhcert.certify as certify_module
+
+    monkeypatch.setattr(certify_module, "_bracket", lambda f, a, b: (certify_module._OPEN, 0))
     cert = estimate_modulus(ONE, 0.0, 1.0, grid_n=5, refine_rounds=2)
     assert cert.witness == (0.0, 0.25, 1.0 / 6.0)
 
@@ -559,11 +637,12 @@ def test_domain_error_propagates():
 @pytest.mark.parametrize("grid_n", [16, 64, 200])
 def test_underflowing_denominator_is_a_named_error(grid_n):
     # on [0, 1e-160] lam*(1-lam)*(x-y)^2 underflows to 0, so the ratios would
-    # be 0/0; both entry points refuse and name the interval and the grid
-    # rather than report a nan modulus
+    # be 0/0; where the grid decides c_star (exp(-x^2) is not log-convex),
+    # both entry points refuse and name the interval and the grid rather
+    # than report a nan modulus
     for run in (
-        lambda: estimate_modulus(ONE, 0.0, 1e-160, grid_n=grid_n),
-        lambda: check_modulus(ONE, 0.0, 1e-160, 0.5, grid_n=grid_n),
+        lambda: estimate_modulus(EXP_MINUS_X2, 0.0, 1e-160, grid_n=grid_n),
+        lambda: check_modulus(EXP_MINUS_X2, 0.0, 1e-160, 0.5, grid_n=grid_n),
     ):
         with pytest.raises(ValueError, match="too narrow") as err:
             run()
@@ -632,9 +711,12 @@ def test_an_infinite_or_overflowing_interval_is_refused_before_sampling(a, b, me
 
 
 def test_an_infinite_c_star_is_refused_by_name():
-    # every sampled ratio overflows; the certificate once read inf, "certified_positive"
-    with pytest.raises(ValueError, match="the sampled modulus c_star is inf"):
-        estimate_modulus(parse("1e300*exp(1e20*x^2)"), 0.0, 1e-10, 16)
+    # every sampled ratio overflows; the certificate once read inf,
+    # "certified_positive".  The grid decides c_star only where the bracket
+    # does not, so the log-concave mirror image, whose ratios overflow to
+    # -inf, is the input that still reaches this refusal
+    with pytest.raises(ValueError, match="the sampled modulus c_star is -inf"):
+        estimate_modulus(parse("1e300*exp(-1e20*x^2)"), 0.0, 1e-10, 16)
 
 
 def test_check_requires_positive_modulus():

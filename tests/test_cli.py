@@ -72,8 +72,10 @@ def test_bad_interval_exits_two(capsys):
 @pytest.mark.parametrize("extra", [[], ["--json"], ["--grid", "200"]])
 def test_certify_on_an_underflowing_interval_exits_two(capsys, extra):
     # lam*(1-lam)*(x-y)^2 underflows to 0 on [0, 1e-160]: a named error, not
-    # a "certified" nan
-    code, out, err = run(capsys, "certify", "--f", "1", "--a", "0", "--b", "1e-160", *extra)
+    # a "certified" nan, wherever the grid decides c_star (exp(-x^2) is not
+    # log-convex; a constant's bracket certifies it with no grid)
+    code, out, err = run(capsys, "certify", "--f", "exp(-x^2)", "--a", "0", "--b", "1e-160",
+                         *extra)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "too narrow" in err
@@ -114,8 +116,8 @@ def formats(capsys, *argv):
         (["certify", "--f", "exp(x)", "--a", "0", "--b", "inf"], "need a < b"),
         (["certify", "--f", "exp(x)", "--a", "-1e308", "--b", "1e308"], "need a finite width"),
         # c_star overflows: text once printed inf and exited 0
-        (["certify", "--f", "1e300*exp(1e20*x^2)", "--a", "0", "--b", "1e-10", "--grid", "16"],
-         "the sampled modulus c_star is inf"),
+        (["certify", "--f", "1e300*exp(-1e20*x^2)", "--a", "0", "--b", "1e-10", "--grid", "16"],
+         "the sampled modulus c_star is -inf"),
         (["integrate", "--f", "x", "--a", "1", "--b", "0"], "need a < b, got a=1.0, b=0.0"),
         (["integrate", "--f", "x", "--a", "-1e308", "--b", "1e308"], "need a finite width"),
         # the first panels overflow: the report once failed only on serializing inf
@@ -304,6 +306,21 @@ def test_certify_json_fields(capsys):
         assert outputs["grid_size"] == 32 and outputs["refinement_rounds"] == rounds
 
 
+def test_certify_reports_its_bracket_after_the_status(capsys):
+    # a bracket-settled certificate rests on the bracket alone, so the report
+    # shows both ends; exp(x^2) on [0, 1] has c* = 1
+    code, out, _ = run(capsys, "certify", "--f", "exp(x^2)", "--a", "0", "--b", "1", "--json")
+    outputs = json.loads(out)["outputs"]
+    assert list(outputs) == ["c_star", "witness", "grid_size", "refinement_rounds", "status",
+                             "c_lo", "c_up"]
+    assert code == 0 and outputs["c_lo"] == outputs["c_star"] <= 1.0 <= outputs["c_up"]
+    # an unbounded end is null: c_up of a modulus near 1e320
+    code, out, _ = run(capsys, "certify", "--f", "1e300*exp(1e20*x^2)", "--a", "0", "--b",
+                       "1e-10", "--json")
+    outputs = json.loads(out)["outputs"]
+    assert code == 0 and outputs["c_lo"] == outputs["c_star"] and outputs["c_up"] is None
+
+
 def test_theorem2_printed_not_applicable_is_marked(capsys):
     # decreasing on [0,1] (so f(b)-f(a) < 0 and the printed log is undefined)
     # yet strongly log-convex, so the corrected bound holds at a small c
@@ -408,6 +425,9 @@ def test_sweep_csv_exit_code_tracks_violations(capsys):
         ["integrate", "--f", "x^2", "--a", "0", "--b", "1"],
         ["maxc", "--f", "exp(x^2)", "--a", "0", "--b", "1"],
         ["sweep", "--families", "scaled_power", "--cases", "8", "--seed", "33"],
+        # an unbounded bracket end: c_up here, both ends where abs crosses 0
+        ["certify", "--f", "1e300*exp(1e20*x^2)", "--a", "0", "--b", "1e-10"],
+        ["certify", "--f", "exp(abs(x))", "--a", "-1", "--b", "1", "--grid", "16"],
     ],
 )
 def test_every_format_renders_the_one_document(capsys, argv):
