@@ -31,29 +31,32 @@ leave it), and f is evaluated on xs and ys in one call.  Each tile
 evaluates f once on its interior points and reads positivity off the
 finiteness of the ln f(T) the ratios need anyway; the precise error for
 the first offender is computed only on failure.  Time grows as N^3 in the
-grid size N, so a call that would sample more than TRIPLE_BUDGET triples
-is refused with a ValueError before any sampling; each grid counts as at
-least 2**13 triples, the cost of its fixed work.  An interval so narrow
-(or wide) that lam*(1-lam)*(x-y)^2 leaves (0, inf) at some admissible
-triple raises a ValueError naming the grid instead of returning a nan or
-infinite ratio.
+grid size N, so a call whose grids would sample more than TRIPLE_BUDGET
+triples is refused with a ValueError before the first grid; each grid
+counts as at least 2**13 triples, the cost of its fixed work.  The budget
+bounds only the grids that run, so it never refuses a call that the
+bracket answers (below).  An interval so narrow (or wide) that
+lam*(1-lam)*(x-y)^2 leaves (0, inf) at some admissible triple raises a
+ValueError naming the grid instead of returning a nan or infinite ratio.
 
 A grid infimum is evidence, not proof: every sampled ratio, and so the
 infimum, is an upper estimate of c*.  ``modulus_bracket`` gives the proof:
 a lower bound c_lo and an upper bound c_up on c* from g = ln f, its
 symbolic derivatives and their outward-rounded interval enclosures, with
-the verdict they settle.  Where the bracket alone fixes c_star (c_lo > 0,
-or c_lo = c_up as where g'' vanishes identically), ``estimate_modulus``
-reports the proved c_lo and samples no grid at all, since no grid value
-could move it; its witness is then the bracket edge where c_up is
-attained, the nearest other edge and lam = 1/2.  So a constant on
-[0, 1e-160], exp(x^2) there and 1e300*exp(1e20*x^2) on [0, 1e-10] are
-certified, where the grid would refuse a denominator that underflows or
-a minimum that overflows.  Elsewhere it clips the grid infimum into the
-bracket, so a certified_positive c_star never exceeds c*, up to the one
-ulp of libm error the enclosures assume.  The certificate carries c_lo
-and c_up, grid_size and refinement_rounds, the rounds actually searched,
-so callers can judge how hard the box was searched.
+the verdict they settle.  Where the bracket settles certified_positive
+or certified_zero, ``estimate_modulus`` reports the proved c_lo and
+samples no grid at all, since no grid value could move it; its witness is
+then the bracket edge where c_up is attained, the nearest other edge and
+lam = 1/2.  So a constant on [0, 1e-160], exp(x^2) there and
+1e300*exp(1e20*x^2) on [0, 1e-10] are certified, where the grid would
+refuse a denominator that underflows or a minimum that overflows.
+Elsewhere it clips the grid infimum into the bracket.  A
+certified_positive c_star from the bracket never exceeds c*, up to the
+one ulp of libm error the enclosures assume; one from the grid is an
+upper estimate, and can exceed c* where the bracket leaves the verdict
+open.  The certificate carries c_lo and c_up, grid_size and
+refinement_rounds, the rounds actually searched, so callers can judge how
+hard the box was searched.
 """
 
 from __future__ import annotations
@@ -178,26 +181,6 @@ def log_defect(f: Expression, x: float, y: float, lam: float) -> float:
 
 def _spacing(grid: np.ndarray) -> float:
     return float(grid[1] - grid[0]) if grid.size > 1 else 0.0
-
-
-def _grid(start: float, stop: float, n: int) -> np.ndarray:
-    """``np.linspace(start, stop, n)`` bit for bit for n >= 2, without its dispatch.
-
-    The same steps in the same order: arange times the step plus start, the
-    last point set to stop, and numpy's own branch (divide by n - 1, then
-    scale by the width) when the step underflows to 0.
-    """
-    delta = stop - start
-    step = delta / (n - 1)
-    y = np.arange(n, dtype=float)
-    if step == 0.0:
-        y /= n - 1
-        y *= delta
-    else:
-        y *= step
-    y += start
-    y[-1] = stop
-    return y
 
 
 def _check_denominators(
@@ -418,29 +401,33 @@ def modulus_bracket(f: Expression, a: float, b: float) -> ModulusBracket:
     each enclosed once over 33 boxes.  Raises ValueError unless a < b are
     finite with a finite width b - a.
     """
+    a, b = _validate_interval(a, b)
     return _bracket(f, a, b)[0]
 
 
-def _bracket(f: Expression, a: float, b: float) -> Tuple[ModulusBracket, int]:
-    """``modulus_bracket`` and the index of the edge where c_up is attained (0 if none is)."""
+def _bracket(f: Expression, a: float, b: float) -> Tuple[ModulusBracket, np.ndarray, int]:
+    """``modulus_bracket`` on a validated [a, b], with its 17 edges.
+
+    Also the index of the edge where c_up is attained (0 if none is), from
+    which ``_edge_witness`` builds a settled certificate's witness.
+    """
     # loaded on first use, so a process that never brackets a modulus (a
     # chain check, an integral) does not load it
     from .calculus import OverBudget, _constant, _down, _up, enclose, log_derivatives
 
-    a, b = _validate_interval(a, b)
+    edges = np.linspace(a, b, _BRACKET_PIECES + 1)
     try:
         g1, g2 = log_derivatives(f)
-        edges = _grid(a, b, _BRACKET_PIECES + 1)
         lo = np.concatenate((edges[:-1], edges))
         hi = np.concatenate((edges[1:], edges))
         (f_lo, f_hi), (d_lo, d_hi), (k_lo, k_hi) = enclose((f.root, g1, g2), lo, hi)
     except OverBudget:
-        return _OPEN, 0
+        return _OPEN, edges, 0
     pieces, points = slice(None, _BRACKET_PIECES), slice(_BRACKET_PIECES, None)
     if not f_lo[pieces].min() > 0.0:
-        return _OPEN, 0
+        return _OPEN, edges, 0
     if _constant(g2) == 0.0:
-        return ModulusBracket(0.0, 0.0, CertStatus.CERTIFIED_ZERO), 0
+        return ModulusBracket(0.0, 0.0, CertStatus.CERTIFIED_ZERO), edges, 0
     with np.errstate(all="ignore"):
         # the upper end of [f] * [g''] at each edge, where [f] > 0; inf * 0
         # says nothing
@@ -461,16 +448,15 @@ def _bracket(f: Expression, a: float, b: float) -> Tuple[ModulusBracket, int]:
         status = CertStatus.NOT_LOG_CONVEX
     else:
         status = None
-    return ModulusBracket(c_lo, c_up, status), edge
+    return ModulusBracket(c_lo, c_up, status), edges, edge
 
 
-def _edge_witness(a: float, b: float, edge: int) -> Tuple[float, float, float]:
+def _edge_witness(edges: np.ndarray, edge: int) -> Tuple[float, float, float]:
     """(t, s, 1/2): t the bracket's edge of that index, s the nearest other edge.
 
     Edges can coincide on an interval a few ulps wide, so s is the nearest
     edge distinct from t (the lower one on a tie); a < b makes one exist.
     """
-    edges = _grid(a, b, _BRACKET_PIECES + 1)
     t = edges[edge]
     others = edges[edges != t]
     return float(t), float(others[np.abs(others - t).argmin()]), 0.5
@@ -507,11 +493,11 @@ def estimate_modulus(
     """Estimate the maximal strong log-convexity modulus of f on [a, b].
 
     Brackets the modulus with ``modulus_bracket`` first.  Where the bracket
-    fixes c_star (c_lo > 0, or c_lo = c_up where g'' vanishes identically),
-    c_star is the proved c_lo, the status is the bracket's, and no grid is
-    sampled: every sampled ratio is an upper estimate of c*, so none could
-    move it.  The witness is then the bracket edge where c_up is attained,
-    the nearest other edge and lam = 1/2, and refinement_rounds is 0.
+    settles certified_positive or certified_zero, c_star is the proved c_lo,
+    the status is the bracket's, and no grid is sampled: every sampled ratio
+    is an upper estimate of c*, so none could move it.  The witness is then
+    the bracket edge where c_up is attained, the nearest other edge and
+    lam = 1/2, and refinement_rounds is 0.
 
     Otherwise (the bracket is open or settles not_log_convex) it samples x
     and y on a uniform grid over [a, b] and lam on the uniform interior
@@ -523,7 +509,7 @@ def estimate_modulus(
     |c_star| <= ZERO_TOLERANCE as zero.  Raises ValueError unless a < b are
     finite with a finite width b - a, when the refine_rounds + 1 grids of
     grid_n^3 triples, each counted as at least 2**13, exceed TRIPLE_BUDGET
-    (charged before the bracket, whether or not the grids are sampled), and
+    (charged before the first grid, and only where the grids run), and
     when the grid minimum is not finite.
     """
     a, b = _validate_interval(a, b)
@@ -532,25 +518,22 @@ def estimate_modulus(
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be nonnegative, got {refine_rounds}")
 
-    _check_budget(grid_n, refine_rounds + 1)
-
-    bracket, edge = _bracket(f, a, b)
-    # only a certified bracket meets this: c_lo and c_up are rounded
-    # outward, so they meet only at the exact 0 of a vanishing g''
-    if bracket.c_lo > 0.0 or bracket.c_lo == bracket.c_up:
-        return ModulusCertificate(bracket.c_lo, _edge_witness(a, b, edge), grid_n, 0,
+    bracket, edges, edge = _bracket(f, a, b)
+    if bracket.status in (CertStatus.CERTIFIED_POSITIVE, CertStatus.CERTIFIED_ZERO):
+        return ModulusCertificate(bracket.c_lo, _edge_witness(edges, edge), grid_n, 0,
                                   bracket.status, bracket.c_lo, bracket.c_up)
 
-    xs = _grid(a, b, grid_n)
+    _check_budget(grid_n, refine_rounds + 1)
+    xs = np.linspace(a, b, grid_n)
     lams = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
     best, witness = _min_over_grid(f, xs, xs, lams)
     for round_index in range(1, refine_rounds + 1):
         wx, wy, wl = witness
         half_x = (b - a) * 0.5 ** (round_index + 1)
         half_l = 0.5 ** (round_index + 1)
-        xs_r = _grid(max(a, wx - half_x), min(b, wx + half_x), grid_n)
-        ys_r = _grid(max(a, wy - half_x), min(b, wy + half_x), grid_n)
-        lams_r = _grid(max(0.0, wl - half_l), min(1.0, wl + half_l), grid_n)
+        xs_r = np.linspace(max(a, wx - half_x), min(b, wx + half_x), grid_n)
+        ys_r = np.linspace(max(a, wy - half_x), min(b, wy + half_x), grid_n)
+        lams_r = np.linspace(max(0.0, wl - half_l), min(1.0, wl + half_l), grid_n)
         value, candidate = _min_over_grid(f, xs_r, ys_r, lams_r)
         if value < best:
             best, witness = value, candidate
@@ -579,11 +562,11 @@ def check_modulus(
     """Check whether c (minus 1e-12) is at most the certified modulus.
 
     The certificate is ``estimate_modulus``'s without refinement, so the
-    defect is the proved c_lo where the bracket fixes c_star, with no grid
-    sampled and the bracket edge witness, and otherwise the bracket-clipped
-    minimum of the first grid, with the worst sampled triple.  ok=False
-    means c exceeds what the certificate stands behind.  Raises ValueError
-    as ``estimate_modulus`` does.
+    defect is the proved c_lo where the bracket settles the verdict, with
+    no grid sampled, no budget charged and the bracket edge witness, and
+    otherwise the bracket-clipped minimum of the first grid, with the worst
+    sampled triple.  ok=False means c exceeds what the certificate stands
+    behind.  Raises ValueError as ``estimate_modulus`` does.
     """
     c = float(c)
     if not c > 0.0:

@@ -82,14 +82,15 @@ def test_certify_on_an_underflowing_interval_exits_two(capsys, extra):
 
 
 def test_certify_beyond_the_triple_budget_exits_two(capsys, monkeypatch):
-    # 2000^3 triples in each of 4 grids: refused before f is sampled at all
+    # 2000^3 triples in each of 4 grids, which not-log-convex exp(-x^2) would
+    # walk: refused before f is sampled at all
     import hhcert.expr
 
     def unreachable(f, xs):
         raise AssertionError("f was sampled before the budget check")
 
     monkeypatch.setattr(hhcert.expr, "evaluate_array", unreachable)
-    code, out, err = run(capsys, "certify", "--f", "exp(x^2)", "--a", "0", "--b", "1",
+    code, out, err = run(capsys, "certify", "--f", "exp(-x^2)", "--a", "0", "--b", "1",
                          "--grid", "2000")
     assert code == 2
     assert out == ""
@@ -547,6 +548,18 @@ def test_sweep_human_summary_mentions_violations(capsys):
     assert code == 1
     assert "VIOLATION" in out
     assert "dragomir_mond" in out
+
+
+def test_sweep_text_notes_the_as_printed_failures(capsys):
+    # the as-printed product bound is a typeset discrepancy: noted, not a violation
+    code, out, _ = run(capsys, "sweep", "--families", "exp_quadratic", "--cases", "4",
+                       "--seed", "0")
+    assert code == 0
+    assert "VIOLATION" not in out
+    assert out.splitlines()[-1] == (
+        "  note: 1 as-printed product-bound failures (documented typeset discrepancy;"
+        " not counted as violations)"
+    )
 
 
 def test_version_flag(capsys):

@@ -258,6 +258,19 @@ def test_a_case_with_an_open_bracket_gets_no_modulus(monkeypatch):
     assert result.outcomes[KIND_DM] == "holds"
 
 
+def test_a_case_whose_bracket_is_refused_gets_no_modulus(monkeypatch):
+    # a refusal from the bracket is recorded as no bracket, not a sweep error,
+    # and the checks that need no modulus are still judged
+    def refused(f, a, b):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(harness, "modulus_bracket", refused)
+    (result,) = harness.sweep_results(1, ("exp_quadratic",), seed=3)
+    assert result.bracket is None and result.c is None
+    assert result.outcomes[KIND_T1] == result.outcomes[KIND_T2] == "not_applicable"
+    assert result.outcomes[KIND_DM] == "holds"
+
+
 def _closed_form_modulus(case: CaseSpec) -> float:
     # c* from the draw's parameters alone: g'' = 2 alpha for exp_quadratic, and
     # f and g'' of (x + s)^p with p < 0 both reach their minimum at b
