@@ -12,7 +12,10 @@ is the largest c for which the inequality holds at that triple, so the
 maximal modulus c* is the infimum of the ratio over admissible triples.
 ``estimate_modulus`` estimates that infimum by a uniform grid search,
 followed by local refinement around the running minimizer wherever the
-grid still decides the reported modulus (see below).
+grid still decides the reported modulus (see below).  Under a
+not_log_convex bracket the rounds are skipped once the clip pins c_star at
+the proved c_up < 0, where no round can change the status; an open
+bracket searches every round, since there the grid's sign decides it.
 
 The numerator is evaluated in the log domain as
 
@@ -506,7 +509,14 @@ def estimate_modulus(
     width of the previous one (clipped to the domain).  c_star is the
     running minimum over everything sampled, which extra rounds never raise,
     clipped into [c_lo, c_up]; the status follows its sign, with
-    |c_star| <= ZERO_TOLERANCE as zero.  Raises ValueError unless a < b are
+    |c_star| <= ZERO_TOLERANCE as zero.  Where the bracket settles
+    not_log_convex (c_up < 0) and the first grid's minimum is at or above
+    c_up, the clip pins c_star at c_up and no round is searched
+    (refinement_rounds is 0): a round could only lower c_star below c_up,
+    never change the status.  c_star is then the proved c_up, still an
+    upper estimate of c*, where a full search could end slightly lower.
+    An open bracket searches every round, since there the sign of the grid
+    minimum decides the status.  Raises ValueError unless a < b are
     finite with a finite width b - a, when the refine_rounds + 1 grids of
     grid_n^3 triples, each counted as at least 2**13, exceed TRIPLE_BUDGET
     (charged before the first grid, and only where the grids run), and
@@ -527,6 +537,10 @@ def estimate_modulus(
     xs = np.linspace(a, b, grid_n)
     lams = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
     best, witness = _min_over_grid(f, xs, xs, lams)
+    if bracket.status is CertStatus.NOT_LOG_CONVEX and best >= bracket.c_up:
+        # the clip pins c_star at c_up < 0, which fixes the status; a round
+        # could only lower c_star below c_up
+        refine_rounds = 0
     for round_index in range(1, refine_rounds + 1):
         wx, wy, wl = witness
         half_x = (b - a) * 0.5 ** (round_index + 1)

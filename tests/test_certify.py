@@ -311,10 +311,10 @@ def _evaluator_calls(monkeypatch, run) -> tuple:
 def test_one_evaluator_call_per_grid_and_per_tile(monkeypatch):
     # grid 16 is one tile per round: f on xs, then f on each tile's interior
     # points for the first grid; f on xs and ys together, then on the tile,
-    # for each of the three refinement rounds, which exp(-x^2) runs because
-    # its bracket leaves c_star to the grid
+    # for each of the three refinement rounds, which (x + 0.3)^1.5 runs
+    # because its grid minimum sits below its c_up, so the grid decides c_star
     _, calls = _evaluator_calls(
-        monkeypatch, lambda: estimate_modulus(EXP_MINUS_X2, 0.0, 1.0, grid_n=16, refine_rounds=3))
+        monkeypatch, lambda: estimate_modulus(POWER, 0.0, 1.0, grid_n=16, refine_rounds=3))
     assert len(calls) == 8
     assert calls[0] == 16 and calls[2::2] == [32, 32, 32]  # xs and ys together
 
@@ -354,9 +354,87 @@ def test_a_bracket_settled_modulus_samples_no_grid(monkeypatch, f):
 
 @pytest.mark.parametrize("rounds", [0, 1, 3])
 def test_a_not_log_convex_modulus_walks_every_grid(monkeypatch, rounds):
-    # grid 16 is one tile: the first grid and each round's
-    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(EXP_MINUS_X2, 0.0, 1.0, 16, rounds))
+    # grid 16 is one tile: the first grid and each round's, since the first
+    # grid's minimum sits below c_up and leaves c_star to the grid
+    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(POWER, 0.0, 1.0, 16, rounds))
     assert tiles == 1 + rounds and cert.refinement_rounds == rounds
+
+
+def _full_search(f: Expression, a: float, b: float, grid_n: int, rounds: int) -> float:
+    """c_star of ``estimate_modulus`` with every round searched, written out."""
+    xs = np.linspace(a, b, grid_n)
+    best, witness = _min_over_grid(f, xs, xs, np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1))
+    for k in range(1, rounds + 1):
+        (wx, wy, wl), half_x, half_l = witness, (b - a) * 0.5 ** (k + 1), 0.5 ** (k + 1)
+        value, candidate = _min_over_grid(
+            f,
+            np.linspace(max(a, wx - half_x), min(b, wx + half_x), grid_n),
+            np.linspace(max(a, wy - half_x), min(b, wy + half_x), grid_n),
+            np.linspace(max(0.0, wl - half_l), min(1.0, wl + half_l), grid_n),
+        )
+        if value < best:
+            best, witness = value, candidate
+    bracket = modulus_bracket(f, a, b)
+    return min(max(best, bracket.c_lo), bracket.c_up)
+
+
+@pytest.mark.parametrize(
+    "text, a, b, grid_n, tiles_walked, c_star_hex",
+    [
+        ("exp(-x^2)", 0.0, 1.0, 16, 1, "-0x1.ffffffffffffdp-1"),
+        # grid 64 is four tiles of 16 x-rows
+        ("(x + 1.3609631786933962)^0.4725329956401376", -1.2227591683530141,
+         0.7128662537103811, 64, 4, (-4.855438961488034).hex()),
+    ],
+    ids=["exp_minus_x2", "power"],
+)
+def test_a_pinned_not_log_convex_modulus_stops_after_the_first_grid(
+    monkeypatch, text, a, b, grid_n, tiles_walked, c_star_hex
+):
+    # the first grid's minimum sits at or above c_up < 0, so the clip pins
+    # c_star at the proved c_up and no round could change the status
+    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(parse(text), a, b, grid_n, 3))
+    assert tiles == tiles_walked and cert.refinement_rounds == 0
+    assert cert.status is CertStatus.NOT_LOG_CONVEX
+    assert cert.c_star.hex() == cert.c_up.hex() == c_star_hex
+
+
+def test_a_stopped_modulus_rises_to_c_up_at_most_slightly():
+    # a later round would cross below c_up here, so stopping raises c_star from
+    # the full search's -0.05137122743964545 to the proved c_up; it is still
+    # an upper estimate of c*
+    f = parse("(x + 1.3929032499929193)^0.3862430427598439")
+    a, b = 0.879249479141385, 0.9938766857876788
+    cert = estimate_modulus(f, a, b, 64, 3)
+    full = _full_search(f, a, b, 64, 3)
+    assert full == -0.05137122743964545
+    assert cert.refinement_rounds == 0 and cert.c_star == cert.c_up == -0.05136025198230381
+    assert 0.0 < (cert.c_star - full) / -full < 3e-4
+
+
+def test_the_stop_matches_the_full_search_of_seeded_powers():
+    # (x + s)^p with p in [0.25, 2] is log-concave, so the bracket settles
+    # not_log_convex: the certificate either searched every round and has
+    # the full search's bits, or stopped with c_star pinned at c_up, at or
+    # above the full search's; the draw meets both, and a rise
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for _ in range(24):
+        a, b = sorted(float(v) for v in rng.uniform(-2.0, 2.0, size=2))
+        if b - a < 0.1:
+            continue
+        s, p = float(rng.uniform(0.1 - a, 3.0)), float(rng.uniform(0.25, 2.0))
+        f = parse(f"(x + {s!r})^{p!r}")
+        cert = estimate_modulus(f, a, b, 16, 3)
+        full = _full_search(f, a, b, 16, 3)
+        assert cert.status is CertStatus.NOT_LOG_CONVEX and full < 0.0
+        if cert.refinement_rounds == 3:
+            assert cert.c_star.hex() == full.hex()
+            outcomes.add("searched")
+        else:
+            assert cert.refinement_rounds < 3 and cert.c_star == cert.c_up >= full
+            outcomes.add("pinned" if cert.c_star == full else "raised")
+    assert outcomes == {"searched", "pinned", "raised"}
 
 
 @pytest.mark.parametrize(
@@ -462,7 +540,8 @@ def test_a_near_zero_open_bracket_certifies_zero():
 )
 def test_c_star_and_status_are_pinned_bit_for_bit(text, c_star_hex, status):
     # the bits a search of all three rounds gives: skipping the rounds where
-    # the bracket fixes c_star must move neither
+    # the bracket fixes c_star, or where the clip pins exp(-x^2)'s at c_up,
+    # must move neither
     cert = estimate_modulus(parse(text), 0.0, 1.0, grid_n=16, refine_rounds=3)
     assert cert.c_star.hex() == c_star_hex
     assert cert.status is status
@@ -474,8 +553,9 @@ def test_the_triple_budget_is_checked_before_sampling(monkeypatch):
     # check_modulus's single grid (646^3 > 2**28 >= 645^3), is refused.  A
     # grid counts as at least 2**13 triples, its fixed cost: a million
     # rounds of grid 3 are refused, grid 16 and the default grid 64 with 3
-    # rounds are not.  exp(-x^2) is not log-convex, so its grids run and the
-    # budget applies; the bracket before them evaluates no f
+    # rounds are not.  exp(-x^2) is not log-convex, so its first grid runs and
+    # the budget is charged for every round it may search; the bracket before
+    # them evaluates no f
     import hhcert.expr
 
     class Sampled(Exception):
@@ -558,9 +638,9 @@ def test_equal_minima_pick_the_lexicographically_first_witness(monkeypatch):
 
 
 def test_refinement_never_raises_c_star():
-    # (x + 0.3)^1.5's bracket [-12.4, -1.37] leaves c_star to the grid, and
-    # each round lowers it; exp(-x^2)'s grid minimum sits above its c_up, so
-    # the clip would hide what the rounds do
+    # (x + 0.3)^1.5's grid minimum sits below its c_up = -1.37, so the grid
+    # decides c_star and each round lowers it; exp(-x^2)'s first grid
+    # minimum sits at or above its c_up, so it searches no round at all
     values = []
     for rounds in range(5):
         cert = estimate_modulus(POWER, 0.0, 1.0, grid_n=32, refine_rounds=rounds)
@@ -571,7 +651,7 @@ def test_refinement_never_raises_c_star():
 
 
 def test_witness_satisfies_bounds():
-    cert = estimate_modulus(EXP_MINUS_X2, 0.25, 1.75, grid_n=24, refine_rounds=2)
+    cert = estimate_modulus(POWER, 0.25, 1.75, grid_n=24, refine_rounds=2)
     x, y, lam = cert.witness
     assert 0.25 <= x <= 1.75 and 0.25 <= y <= 1.75
     assert x != y
