@@ -46,7 +46,9 @@ A grid infimum is evidence, not proof: every sampled ratio, and so the
 infimum, is an upper estimate of c*.  ``modulus_bracket`` gives the proof:
 a lower bound c_lo and an upper bound c_up on c* from g = ln f, its
 symbolic derivatives and their outward-rounded interval enclosures, with
-the verdict they settle.  Where the bracket settles certified_positive
+the verdict they settle; its c_up is the least of two limits of the
+ratio, as x and y meet and as lam tends to 0, at 17 edges.  Where the
+bracket settles certified_positive
 or certified_zero, ``estimate_modulus`` reports the proved c_lo and
 samples no grid at all, since no grid value could move it; its witness is
 then the bracket edge where c_up is attained, the nearest other edge and
@@ -385,8 +387,14 @@ def modulus_bracket(f: Expression, a: float, b: float) -> ModulusBracket:
 
     With x and y tending to t, the defect ratio tends to f(t) g''(t) / 2, so
     c* <= c_up, the least upper enclosure of f g''/2 at the edges of 16
-    equal pieces of [a, b].  Where g'' >= kappa on [a, b], the exponent of
-    the defect ratio is at least kappa lam (1-lam) (x-y)^2 / 2 and
+    equal pieces of [a, b].  Where c_lo <= 0, c_up also takes the edge
+    term: with lam tending to 0 at fixed x != y, the ratio tends to
+    B(x, y) = f(y) (g(x) - g(y) - g'(y) (x - y)) / (x - y)^2, enclosed at
+    each pair of edges (see ``_edge_term_up``).  On a log-concave
+    (x + s)^p the ratio is often least at a corner of the box, as lam
+    tends to 0 or 1, well below the local term, and c_up is then B at
+    that corner.  Where g'' >= kappa on [a, b], the exponent of the
+    defect ratio is at least kappa lam (1-lam) (x-y)^2 / 2 and
     e^D - 1 >= D, so c* >= c_lo = (min f) kappa / 2 for kappa >= 0, and
     (max f) kappa / 2 otherwise.  kappa is the least lower enclosure of g''
     over the pieces.  min f is bounded below by the pieces and, for
@@ -445,6 +453,9 @@ def _bracket(f: Expression, a: float, b: float) -> Tuple[ModulusBracket, np.ndar
             c_lo = float(_down(_down(f_min * kappa) * 0.5))
         else:
             c_lo = float(_down(_down(float(f_hi[pieces].max()) * kappa) * 0.5))
+        if c_lo <= 0.0:
+            c_up = min(c_up, _edge_term_up(edges, f_lo[points], f_hi[points],
+                                           d_lo[points], d_hi[points]))
     if c_lo > 0.0:
         status = CertStatus.CERTIFIED_POSITIVE
     elif c_up < 0.0:
@@ -463,6 +474,29 @@ def _edge_witness(edges: np.ndarray, edge: int) -> Tuple[float, float, float]:
     t = edges[edge]
     others = edges[edges != t]
     return float(t), float(others[np.abs(others - t).argmin()]), 0.5
+
+
+def _edge_term_up(t, f_lo, f_hi, d_lo, d_hi) -> float:
+    """The least upper enclosure of the edge term B(x, y) over pairs of distinct points t.
+
+    With lam tending to 0 at fixed x != y, the defect ratio tends to
+    B(x, y) = f(y) (g(x) - g(y) - g'(y) (x - y)) / (x - y)^2, so c* <= B(x, y)
+    at every pair.  Only pairs whose numerator is provably negative are
+    bounded, by f_lo(y) times its upper end over the upper end of (x - y)^2,
+    each step rounded up; any other pair bounds c* by nothing below 0.
+    """
+    from .calculus import _down, _hull, _up
+
+    g_lo, g_hi = _down(np.log(f_lo)), _up(np.log(f_hi))
+    # x runs down the rows and y across the columns
+    d = t[:, None] - t[None, :]
+    s_lo, s_hi = _down(d), _up(d)
+    slope_lo = _hull(d_lo * s_lo, d_lo * s_hi, d_hi * s_lo, d_hi * s_hi)[0]
+    numerator = _up(_up(g_hi[:, None] - g_lo) - slope_lo)
+    square = _up(np.maximum(s_lo * s_lo, s_hi * s_hi))
+    bound = _up(_up(f_lo * numerator) / square)
+    bound = np.where((numerator < 0.0) & (s_lo * s_hi > 0.0) & ~np.isnan(bound), bound, math.inf)
+    return float(bound.min())
 
 
 def _tangent_floor(m, a, b, kappa, f_lo, d_lo, d_hi) -> float:
@@ -515,6 +549,10 @@ def estimate_modulus(
     (refinement_rounds is 0): a round could only lower c_star below c_up,
     never change the status.  c_star is then the proved c_up, still an
     upper estimate of c*, where a full search could end slightly lower.
+    Since c_up takes the edge term (see ``modulus_bracket``), the first
+    grid's minimum sits at or above c_up wherever the ratio is least at a
+    corner of the box, as lam tends to 0 or 1, as on most log-concave
+    (x + s)^p.
     An open bracket searches every round, since there the sign of the grid
     minimum decides the status.  Raises ValueError unless a < b are
     finite with a finite width b - a, when the refine_rounds + 1 grids of

@@ -347,8 +347,29 @@ def test_a_node_that_is_not_smooth_on_its_box_encloses_as_the_whole_line(text, l
 # the modulus bracket
 # --------------------------------------------------------------------------
 
+def _power_limits(s, p, a, b):
+    """The least exact value of the two limits of the defect ratio of (x + s)^p at 17 edges.
+
+    The local term f(t) g''(t)/2 = (-p/2)(t+s)^(p-2) at each edge, and the
+    edge term B(x, y) = f(y)(g(x) - g(y) - g'(y)(x - y))/(x - y)^2 at each
+    pair of distinct edges, with g = p ln(t+s): the edges of
+    ``modulus_bracket``, whose c_up encloses this value from above.
+    """
+    s, p = mpmath.mpf(s), mpmath.mpf(p)
+    ts = [mpmath.mpf(float(t)) for t in np.linspace(a, b, 17)]
+    local = min(-p / 2 * (t + s) ** (p - 2) for t in ts)
+    edge = min((y + s) ** p * p * (mpmath.log((x + s) / (y + s)) - (x - y) / (y + s)) / (x - y) ** 2
+               for x in ts for y in ts if x != y)
+    return min(local, edge)
+
+
 def _closed_form_modulus(case) -> float:
-    """c* of the three families: alpha min f, 0, and min (-p/2)(t+s)^(p-2) over the ends."""
+    """c* of the log-convex families: alpha min f, 0, and min (-p/2)(t+s)^(p-2) over the ends.
+
+    A log-concave (x + s)^p, p > 0, has no closed form: its c* can lie below
+    that local infimum (see the next test), so the reference there is the
+    exact value c_up encloses, which is at least c*.
+    """
     a, b = case.a, case.b
     if case.family == "exp_quadratic":
         alpha, beta, gamma = case.parameters
@@ -358,6 +379,8 @@ def _closed_form_modulus(case) -> float:
     if case.family == "log_affine":
         return mpmath.mpf(0)
     s, p = (mpmath.mpf(v) for v in case.parameters)
+    if p > 0:
+        return _power_limits(s, p, a, b)
     return min(-p / 2 * (mpmath.mpf(t) + s) ** (p - 2) for t in (a, b))
 
 
@@ -379,6 +402,27 @@ def test_the_bracket_holds_the_closed_form_modulus_of_every_family(family):
                 assert bracket.status is CertStatus.CERTIFIED_ZERO
             else:
                 assert bracket.status is CertStatus.NOT_LOG_CONVEX
+                assert bracket.c_up <= c_star * (1 - 1e-12), case
+
+
+def test_c_up_takes_the_edge_term_where_c_star_is_not_local():
+    # an exact ratio at lam = 0.1 lies below the local term's infimum, so c*
+    # does too; c_up encloses the edge term B(a, b), the ratio's limit as
+    # lam tends to 0 at the corners, and lies below both
+    s, p = 2.706363599016388, 1.4385075674032377
+    a, b = -0.01350687882034629, 1.7279222471044688
+    bracket = modulus_bracket(parse(f"(x + {s!r})^{p!r}"), a, b)
+    with mpmath.workdps(40):
+        ms, mp_, ma, mb = (mpmath.mpf(v) for v in (s, p, a, b))
+        f = lambda t: (t + ms) ** mp_
+        local = -mp_ / 2 * (ma + ms) ** (mp_ - 2)
+        lam = mpmath.mpf("0.1")
+        ratio = (f(ma) ** lam * f(mb) ** (1 - lam) - f(lam * ma + (1 - lam) * mb)) / (
+            lam * (1 - lam) * (ma - mb) ** 2)
+        edge = f(mb) * mp_ * (mpmath.log((ma + ms) / (mb + ms)) - (ma - mb) / (mb + ms)) / (ma - mb) ** 2
+        assert ratio < local and edge < ratio
+        assert edge <= bracket.c_up <= edge * (1 - 1e-13)
+    assert bracket.status is CertStatus.NOT_LOG_CONVEX
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,9 @@ EXP_MINUS_X2 = parse("exp(-x^2)")  # log-concave: the bracket settles not_log_co
 EXP_X = parse("exp(x)")
 ONE = parse("1")
 POWER = parse("(x + 0.3)^1.5")  # log-concave: negative minimum
+# log-concave with its peak at 0.4, between the bracket's edges on [0, 1] and
+# [0.25, 1.75]: the grid samples ratios below c_up there, so it decides c_star
+PEAK = parse("exp(-(x - 0.4)^2)")
 
 
 def _defect_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -311,10 +314,10 @@ def _evaluator_calls(monkeypatch, run) -> tuple:
 def test_one_evaluator_call_per_grid_and_per_tile(monkeypatch):
     # grid 16 is one tile per round: f on xs, then f on each tile's interior
     # points for the first grid; f on xs and ys together, then on the tile,
-    # for each of the three refinement rounds, which (x + 0.3)^1.5 runs
+    # for each of the three refinement rounds, which exp(-(x - 0.4)^2) runs
     # because its grid minimum sits below its c_up, so the grid decides c_star
     _, calls = _evaluator_calls(
-        monkeypatch, lambda: estimate_modulus(POWER, 0.0, 1.0, grid_n=16, refine_rounds=3))
+        monkeypatch, lambda: estimate_modulus(PEAK, 0.0, 1.0, grid_n=16, refine_rounds=3))
     assert len(calls) == 8
     assert calls[0] == 16 and calls[2::2] == [32, 32, 32]  # xs and ys together
 
@@ -356,7 +359,7 @@ def test_a_bracket_settled_modulus_samples_no_grid(monkeypatch, f):
 def test_a_not_log_convex_modulus_walks_every_grid(monkeypatch, rounds):
     # grid 16 is one tile: the first grid and each round's, since the first
     # grid's minimum sits below c_up and leaves c_star to the grid
-    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(POWER, 0.0, 1.0, 16, rounds))
+    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(PEAK, 0.0, 1.0, 16, rounds))
     assert tiles == 1 + rounds and cert.refinement_rounds == rounds
 
 
@@ -385,8 +388,12 @@ def _full_search(f: Expression, a: float, b: float, grid_n: int, rounds: int) ->
         # grid 64 is four tiles of 16 x-rows
         ("(x + 1.3609631786933962)^0.4725329956401376", -1.2227591683530141,
          0.7128662537103811, 64, 4, (-4.855438961488034).hex()),
+        # c_up here is the edge term at the corners, x = b and y = a as lam
+        # tends to 1, below the grid's -1.2978 and the full search's -1.3186
+        ("(x + 1.7133926873001548)^1.6551890336849475", -1.0667763623136954,
+         0.568672314550172, 64, 4, (-1.3201289137455738).hex()),
     ],
-    ids=["exp_minus_x2", "power"],
+    ids=["exp_minus_x2", "power", "power_edge_term"],
 )
 def test_a_pinned_not_log_convex_modulus_stops_after_the_first_grid(
     monkeypatch, text, a, b, grid_n, tiles_walked, c_star_hex
@@ -416,7 +423,9 @@ def test_the_stop_matches_the_full_search_of_seeded_powers():
     # (x + s)^p with p in [0.25, 2] is log-concave, so the bracket settles
     # not_log_convex: the certificate either searched every round and has
     # the full search's bits, or stopped with c_star pinned at c_up, at or
-    # above the full search's; the draw meets both, and a rise
+    # above the full search's; the draw meets a pin and a rise.  With the
+    # edge term in c_up no draw here searches; the next test pins one that
+    # does
     rng = np.random.default_rng(0)
     outcomes = set()
     for _ in range(24):
@@ -434,7 +443,18 @@ def test_the_stop_matches_the_full_search_of_seeded_powers():
         else:
             assert cert.refinement_rounds < 3 and cert.c_star == cert.c_up >= full
             outcomes.add("pinned" if cert.c_star == full else "raised")
-    assert outcomes == {"searched", "pinned", "raised"}
+    assert outcomes == {"pinned", "raised"}
+
+
+def test_a_power_whose_grid_passes_c_up_searches_every_round(monkeypatch):
+    # the minimizing pair sits near a, closer together than two of the
+    # bracket's edges, so the grid finds ratios below c_up and decides c_star
+    f = parse("(x + 1.9116510068209058)^1.3628632569188897")
+    a, b = -1.677969199914883, 0.7978694677427951
+    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(f, a, b, 64, 3))
+    assert tiles == 16 and cert.refinement_rounds == 3
+    assert cert.status is CertStatus.NOT_LOG_CONVEX and cert.c_star < cert.c_up
+    assert cert.c_star.hex() == _full_search(f, a, b, 64, 3).hex()
 
 
 @pytest.mark.parametrize(
@@ -638,12 +658,12 @@ def test_equal_minima_pick_the_lexicographically_first_witness(monkeypatch):
 
 
 def test_refinement_never_raises_c_star():
-    # (x + 0.3)^1.5's grid minimum sits below its c_up = -1.37, so the grid
-    # decides c_star and each round lowers it; exp(-x^2)'s first grid
-    # minimum sits at or above its c_up, so it searches no round at all
+    # exp(-(x - 0.4)^2)'s grid minimum sits below its c_up = -0.99938, so the
+    # grid decides c_star and the rounds lower it toward c* = -1; exp(-x^2)'s
+    # first grid minimum sits at or above its c_up, so it searches no round
     values = []
     for rounds in range(5):
-        cert = estimate_modulus(POWER, 0.0, 1.0, grid_n=32, refine_rounds=rounds)
+        cert = estimate_modulus(PEAK, 0.0, 1.0, grid_n=32, refine_rounds=rounds)
         assert cert.refinement_rounds == rounds
         values.append(cert.c_star)
     assert all(later <= earlier + 1e-15 for earlier, later in zip(values, values[1:]))
@@ -651,7 +671,7 @@ def test_refinement_never_raises_c_star():
 
 
 def test_witness_satisfies_bounds():
-    cert = estimate_modulus(POWER, 0.25, 1.75, grid_n=24, refine_rounds=2)
+    cert = estimate_modulus(PEAK, 0.25, 1.75, grid_n=24, refine_rounds=2)
     x, y, lam = cert.witness
     assert 0.25 <= x <= 1.75 and 0.25 <= y <= 1.75
     assert x != y

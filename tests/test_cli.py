@@ -292,10 +292,10 @@ def test_certify_reports_the_bracket_verdict(capsys, f, a, b, status):
 
 
 def test_certify_json_fields(capsys):
-    # (x+0.3)^1.5 is not log-convex and its grid minimum sits below c_up, so
-    # its c_star is the grid's and every round is searched; exp(x^2)'s proved
-    # modulus leaves the rounds nothing to move
-    for f, status, rounds in [("(x+0.3)^1.5", "not_log_convex", 2),
+    # exp(-(x-0.4)^2) is not log-convex and its grid minimum sits below c_up,
+    # so its c_star is the grid's and every round is searched; exp(x^2)'s
+    # proved modulus leaves the rounds nothing to move
+    for f, status, rounds in [("exp(-(x-0.4)^2)", "not_log_convex", 2),
                               ("exp(x^2)", "certified_positive", 0)]:
         code, out, _ = run(capsys, "certify", "--f", f, "--a", "0", "--b", "1",
                            "--grid", "32", "--refine", "2", "--json")
