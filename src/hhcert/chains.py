@@ -35,7 +35,12 @@ f(x) f(a+b-x).  ``_means`` computes all four in one quadrature pass of four
 rows that evaluates f twice per node, and each check, and ``max_feasible_c``,
 assembles its terms from that one result.  The strengthened chain at c = 0
 therefore equals terms 1, 3, 4, 5, 6 of the six-term chain bit for bit by
-construction: the same numbers, plus exact additions of 0.0.  The classical
+construction: the same numbers, plus exact additions of 0.0.  ``_means``
+also keeps its last result, keyed by the canonical text ``str(f)`` and the
+float.hex bits of a, b and tol (so -0.0 and 0.0 stay apart), and returns it
+to the next call with the same key, so checks of one f on one interval run
+one after another share one pass.  It keeps that one entry and no refusal,
+so a refused input is refused again.  The classical
 chain needs no positivity and integrates f alone.  An integral whose error
 estimate misses its tolerance, both as an integral and as a mean (the depth
 cap or the roundoff floor stopped it), raises a ValueError naming the rows
@@ -178,6 +183,11 @@ def _require_converged(result: QuadratureResult, rows, tols, a: float, b: float)
     )
 
 
+# The last result of _means as one (key, value) tuple: a reader takes both
+# from one tuple, so threads never pair one call's key with another's value.
+_last_means: Tuple[tuple, Optional[_Means]] = ((), None)
+
+
 def _means(f: Expression, a: float, b: float, tol: float) -> _Means:
     """The quantities of the positive chains, with one quadrature pass.
 
@@ -186,8 +196,15 @@ def _means(f: Expression, a: float, b: float, tol: float) -> _Means:
     every node and at a, b and (a+b)/2.  Each row's absolute tolerance is
     ``tol`` times a bound on its magnitude: log-convex f is convex, so its
     maximum over [a, b] sits at an endpoint, and fm is a cheap hedge for
-    inputs that are not log-convex.
+    inputs that are not log-convex.  A call with the key of the last call
+    that returned (the text of f and the bits of a, b, tol) returns its
+    result again without a pass.
     """
+    global _last_means
+    key = (str(f), float(a).hex(), float(b).hex(), float(tol).hex())
+    last_key, last = _last_means
+    if last_key == key:
+        return last
     fa, fb, fm = _positive_values(f, np.array([a, b, (a + b) / 2.0])).tolist()
     scale = max(1.0, fa, fb, fm)
     log_scale = max(1.0, abs(math.log(fa)), abs(math.log(fb)), abs(math.log(fm)))
@@ -206,7 +223,9 @@ def _means(f: Expression, a: float, b: float, tol: float) -> _Means:
     _require_converged(result, _MEANS_ROWS, tols, a, b)
     mean_f, mean_log, mean_geo, mean_prod = (result.value / (b - a)).tolist()
     log_mean, end_avg = means.logarithmic_mean(fa, fb), means.arithmetic_mean(fa, fb)
-    return _Means(fa, fb, fm, mean_f, math.exp(mean_log), mean_geo, mean_prod, log_mean, end_avg)
+    m = _Means(fa, fb, fm, mean_f, math.exp(mean_log), mean_geo, mean_prod, log_mean, end_avg)
+    _last_means = (key, m)
+    return m
 
 
 def _modulus(c: float) -> float:
@@ -370,7 +389,11 @@ def closed_form_J(u: float) -> float:
     u = float(u)
     if not u > 0.0 or not math.isfinite(u):
         raise ValueError(f"J needs positive finite u, got {u!r}")
-    k = math.log(u)
+    return _J(u, math.log(u))
+
+
+def _J(u: float, k: float) -> float:
+    """J(u) from u and k = ln u; u may underflow to 0 where k is very negative."""
     if abs(k) < _J_SERIES_SWITCH:
         acc = _J_COEFFS[-1]
         for coeff in reversed(_J_COEFFS[:-1]):
@@ -402,10 +425,28 @@ def theorem2_bound(
     return _theorem2_assemble(f, a, b, c, _means(f, a, b, tol), margin_tol, form)
 
 
+def _theorem2_bracket(fa: float, fb: float) -> Tuple[float, float]:
+    """f(b) J(f(a)/f(b)) + f(a) J(f(b)/f(a)), and k = ln(f(a)/f(b)).
+
+    Where a ratio leaves the doubles (f(a)/f(b) underflows as f(b)/f(a)
+    overflows), or J of one overflows, u J(1/u) = J(u) makes the two terms
+    equal, so the bracket is twice the term whose ratio is at most 1, with J
+    written in k = ln f(a) - ln f(b).
+    """
+    u, v = fa / fb, fb / fa
+    if math.isfinite(u) and math.isfinite(v):  # u underflows to 0 only as v overflows
+        bracket = fb * closed_form_J(u) + fa * closed_form_J(v)
+        if math.isfinite(bracket):
+            return bracket, math.log(u)
+    k = math.log(fa) - math.log(fb)
+    if k <= 0.0:
+        return 2.0 * fb * _J(math.exp(k), k), k
+    return 2.0 * fa * _J(math.exp(-k), -k), k
+
+
 def _theorem2_assemble(f, a, b, c, m: _Means, margin_tol, form) -> Theorem2Report:
     fa, fb, lhs = m.fa, m.fb, m.mean_product
-    bracket = fb * closed_form_J(fa / fb) + fa * closed_form_J(fb / fa)
-    k = math.log(fa / fb)
+    bracket, k = _theorem2_bracket(fa, fb)
     q2 = c * _squared_width(a, b)
     rhs_corrected = fa * fb + q2 * q2 / 30.0 - q2 * bracket
 

@@ -1,6 +1,9 @@
 """Chain evaluation tests: term values, orderings, degenerations, J, bounds."""
 
+import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -19,7 +22,8 @@ from hhcert.chains import (
     theorem1_chain,
     theorem2_bound,
 )
-from hhcert.expr import parse
+from hhcert.expr import DomainError, parse
+from hhcert.means import arithmetic_mean, logarithmic_mean
 from hhcert.quadrature import integrate
 
 EXP_X2 = parse("exp(x^2)")
@@ -283,8 +287,6 @@ def test_theorem2_manual_recomputation():
 def test_theorem2_bracket_matches_mean_identity():
     # f(b) J(f(a)/f(b)) + f(a) J(f(b)/f(a)) = 4 (A - L)/k^2
     rng = np.random.default_rng(21)
-    from hhcert.means import arithmetic_mean, logarithmic_mean
-
     for _ in range(300):
         fa = float(10.0 ** rng.uniform(-3, 3))
         fb = float(10.0 ** rng.uniform(-3, 3))
@@ -306,6 +308,20 @@ def test_theorem2_printed_form_applicability():
     rep = theorem2_bound(parse("x + 1"), 0.0, 1.0, 0.1, form="both")
     assert not rep.printed_applicable
     assert rep.rhs_as_printed is None
+
+
+@pytest.mark.parametrize("text", ["exp(700*x)", "exp(-700*x)", "exp(353*x)"])
+def test_theorem2_takes_k_from_the_logs_where_an_end_ratio_leaves_the_doubles(text):
+    # on [-1, 1], f(a)/f(b) = exp(-1400) underflows as f(b)/f(a) overflows
+    # (mirrored for the decreasing f), and J(exp(706)) overflows although
+    # exp(706) is a double; the bracket once raised or came out infinite
+    f = parse(text)
+    rep = theorem2_bound(f, -1.0, 1.0, 0.0, form="both")
+    assert rep.holds_corrected
+    fa, fb = f(-1.0), f(1.0)
+    assert rep.k == math.log(fa) - math.log(fb)
+    identity = 4.0 * (arithmetic_mean(fa, fb) - logarithmic_mean(fa, fb)) / rep.k**2
+    assert rep.bracket_value == pytest.approx(identity, rel=1e-12)
 
 
 def test_theorem2_lhs_reflection_invariant():
@@ -530,6 +546,142 @@ def test_an_overflowing_integral_stops_the_chain_by_name(monkeypatch):
                                              r"\[-1e\+160, 1e\+160\]: K15 sum \[inf, "):
             dragomir_mond_chain(parse("1e150"), -1e160, 1e160)
     assert len(calls) < 10
+
+
+# --------------------------------------------------------------------------
+# the kept result of the last means pass
+# --------------------------------------------------------------------------
+
+# the checks that read _means, in the order a user runs them on one f
+_MEANS_CHECKS = (
+    lambda f, a, b, tol: dragomir_mond_chain(f, a, b, tol),
+    lambda f, a, b, tol: theorem1_chain(f, a, b, 0.3, tol),
+    lambda f, a, b, tol: theorem2_bound(f, a, b, 0.3, tol, form="both"),
+    lambda f, a, b, tol: max_feasible_c(f, a, b, tol),
+)
+
+
+def forget_means():
+    hhcert.chains._last_means = ((), None)
+
+
+def bits(value):
+    """``value`` with every float, also inside reports and tuples, as float.hex."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The (a, b) of every quadrature pass the chains make."""
+    calls = []
+
+    def counting_integrate(g, a, b, tol):
+        calls.append((a, b))
+        return integrate(g, a, b, tol)
+
+    monkeypatch.setattr(hhcert.chains, "integrate", counting_integrate)
+    return calls
+
+
+def test_back_to_back_checks_of_one_f_share_one_means_pass(passes):
+    f, a, b = parse("(x + 0.05)^-1.5"), 0.0, 1.0
+    fresh = []
+    for check in _MEANS_CHECKS:
+        forget_means()
+        fresh.append(bits(check(f, a, b, DEFAULT_TOL)))
+    assert len(passes) == len(_MEANS_CHECKS)
+    forget_means()
+    passes.clear()
+    shared = [bits(check(f, a, b, DEFAULT_TOL)) for check in _MEANS_CHECKS]
+    assert len(passes) == 1
+    assert shared == fresh
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # exp(x*x) has exp(x^2)'s values, but the key is the text
+        (("exp(x^2)", 0.0, 1.0, DEFAULT_TOL), ("exp(x*x)", 0.0, 1.0, DEFAULT_TOL)),
+        (("exp(x^2)", 0.0, 1.0, DEFAULT_TOL), ("exp(x^2)", 0.0, math.nextafter(1.0, 2.0), DEFAULT_TOL)),
+        (("exp(x^2)", 0.0, 1.0, DEFAULT_TOL), ("exp(x^2)", 0.0, 1.0, 2.0 * DEFAULT_TOL)),
+        (("exp(x^2)", 0.0, 1.0, DEFAULT_TOL), ("exp(x^2)", -0.0, 1.0, DEFAULT_TOL)),
+    ],
+    ids=["text", "b_ulp", "tol", "zero_sign"],
+)
+def test_a_change_to_any_part_of_the_key_recomputes(passes, first, second):
+    text, a, b, tol = first
+    dragomir_mond_chain(parse(text), a, b, tol)
+    text, a, b, tol = second
+    shared = bits(dragomir_mond_chain(parse(text), a, b, tol))
+    assert len(passes) == 2
+    forget_means()
+    assert shared == bits(dragomir_mond_chain(parse(text), a, b, tol))
+
+
+@pytest.mark.parametrize("ends", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus_first", "minus_first"])
+def test_the_sign_of_a_zero_end_is_part_of_the_key(ends):
+    # at x = 0.0, -1/x = -inf and f = 1; at x = -0.0 the division leaves the
+    # domain, so the two intervals must never share a pass
+    f = parse("1 + exp(-1/x)")
+    for a in ends:
+        if math.copysign(1.0, a) > 0.0:
+            assert dragomir_mond_chain(f, a, 1.0).holds
+        else:
+            with pytest.raises(DomainError):
+                dragomir_mond_chain(f, a, 1.0)
+
+
+def test_a_refused_input_is_refused_again(passes):
+    # the roundoff floor stops the pass short of an absolute 1e-20
+    for _ in range(2):
+        with pytest.raises(ValueError, match="did not converge"):
+            dragomir_mond_chain(EXP_X2, 0.0, 1.0, tol=1e-20)
+    assert len(passes) == 2
+    for _ in range(2):
+        with pytest.raises(NotPositiveError):
+            dragomir_mond_chain(parse("x - 0.5"), 0.0, 1.0)
+
+
+def test_alternating_two_functions_recomputes_every_time(passes):
+    for _ in range(3):
+        dragomir_mond_chain(EXP_X2, 0.0, 1.0)
+        dragomir_mond_chain(EXP_X, 0.0, 1.0)
+    assert len(passes) == 6
+
+
+def test_threads_that_share_the_kept_means_get_the_serial_bits():
+    # more threads than cores, switching often, each on its own f
+    texts = ("exp(x^2)", "(x + 0.05)^-1.5", "exp(0.7*x - 0.3)", "2.5")
+    rounds = 50
+
+    def run(f):
+        return bits((dragomir_mond_chain(f, 0.0, 1.0), theorem2_bound(f, 0.0, 1.0, 0.3, form="both")))
+
+    serial = {text: run(parse(text)) for text in texts}
+    results = {text: [] for text in texts}
+
+    def worker(text):
+        f = parse(text)
+        for _ in range(rounds):
+            results[text].append(run(f))
+
+    threads = [threading.Thread(target=worker, args=(text,)) for text in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for text in texts:
+        assert results[text] == [serial[text]] * rounds
 
 
 # --------------------------------------------------------------------------
