@@ -214,7 +214,8 @@ def _reaches(lo, hi, phase):
     slack = 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))
     k = np.ceil((lo - slack - phase) / _TWO_PI)
     near = phase + _TWO_PI * k <= hi + slack
-    return near | ~(hi - lo < _TWO_PI) | ~(np.abs(lo) + np.abs(hi) < 1e6)
+    # np.logical_not, not ~: on a literal the comparisons are Python bools, and ~True is -2
+    return near | np.logical_not(hi - lo < _TWO_PI) | np.logical_not(np.abs(lo) + np.abs(hi) < 1e6)
 
 
 def _i_periodic(fn, peak, trough):

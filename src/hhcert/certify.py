@@ -447,14 +447,15 @@ def _bracket(f: Expression, a: float, b: float) -> Tuple[ModulusBracket, np.ndar
         edge = int(h_up.argmin())
         c_up = float(_up(h_up[edge] * 0.5))
         kappa = float(k_lo[pieces].min())
+        g_lo = _down(np.log(f_lo[points]))  # the lower end of g at the edges, for both bounds
         if kappa >= 0.0:
             f_min = max(float(f_lo[pieces].min()), _tangent_floor(
-                edges, a, b, kappa, f_lo[points], d_lo[points], d_hi[points]))
+                edges, a, b, kappa, g_lo, d_lo[points], d_hi[points]))
             c_lo = float(_down(_down(f_min * kappa) * 0.5))
         else:
             c_lo = float(_down(_down(float(f_hi[pieces].max()) * kappa) * 0.5))
         if c_lo <= 0.0:
-            c_up = min(c_up, _edge_term_up(edges, f_lo[points], f_hi[points],
+            c_up = min(c_up, _edge_term_up(edges, f_lo[points], f_hi[points], g_lo,
                                            d_lo[points], d_hi[points]))
     if c_lo > 0.0:
         status = CertStatus.CERTIFIED_POSITIVE
@@ -476,7 +477,7 @@ def _edge_witness(edges: np.ndarray, edge: int) -> Tuple[float, float, float]:
     return float(t), float(others[np.abs(others - t).argmin()]), 0.5
 
 
-def _edge_term_up(t, f_lo, f_hi, d_lo, d_hi) -> float:
+def _edge_term_up(t, f_lo, f_hi, g_lo, d_lo, d_hi) -> float:
     """The least upper enclosure of the edge term B(x, y) over pairs of distinct points t.
 
     With lam tending to 0 at fixed x != y, the defect ratio tends to
@@ -487,7 +488,7 @@ def _edge_term_up(t, f_lo, f_hi, d_lo, d_hi) -> float:
     """
     from .calculus import _down, _hull, _up
 
-    g_lo, g_hi = _down(np.log(f_lo)), _up(np.log(f_hi))
+    g_hi = _up(np.log(f_hi))
     # x runs down the rows and y across the columns
     d = t[:, None] - t[None, :]
     s_lo, s_hi = _down(d), _up(d)
@@ -499,7 +500,7 @@ def _edge_term_up(t, f_lo, f_hi, d_lo, d_hi) -> float:
     return float(bound.min())
 
 
-def _tangent_floor(m, a, b, kappa, f_lo, d_lo, d_hi) -> float:
+def _tangent_floor(m, a, b, kappa, g_lo, d_lo, d_hi) -> float:
     """A lower bound on min f over [a, b] from the tangents of g = ln f at the points m.
 
     For g'' >= kappa >= 0, g(t) >= g(m) + d (t - m) + kappa (t - m)^2 / 2
@@ -510,7 +511,6 @@ def _tangent_floor(m, a, b, kappa, f_lo, d_lo, d_hi) -> float:
     """
     from .calculus import _down, _hull, _up
 
-    g_lo = _down(np.log(f_lo))
     s_lo, s_hi = _down(a - m), _up(b - m)
     linear = _hull(d_lo * s_lo, d_lo * s_hi, d_hi * s_lo, d_hi * s_hi)[0]
     square = _up(np.maximum(d_lo * d_lo, d_hi * d_hi))

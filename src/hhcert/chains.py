@@ -32,15 +32,16 @@ defined for f(b) - f(a) > 0 and nonzero only away from f(b) - f(a) = 1.
 Every integral of the last three checks is a mean over [a, b] of a function
 of f(x) and f(a+b-x): mean f, mean ln f, mean sqrt(f(x) f(a+b-x)) and mean
 f(x) f(a+b-x).  ``_means`` computes all four in one quadrature pass of four
-rows that evaluates f twice per node, and each check, and ``max_feasible_c``,
-assembles its terms from that one result.  The strengthened chain at c = 0
-therefore equals terms 1, 3, 4, 5, 6 of the six-term chain bit for bit by
-construction: the same numbers, plus exact additions of 0.0.  ``_means``
-also keeps its last result, keyed by the canonical text ``str(f)`` and the
-float.hex bits of a, b and tol (so -0.0 and 0.0 stay apart), and returns it
-to the next call with the same key, so checks of one f on one interval run
-one after another share one pass.  It keeps that one entry and no refusal,
-so a refused input is refused again.  The classical
+rows that evaluates f twice per node, and each check builds its terms from
+that result.  The strengthened chain at c = 0 therefore equals terms 1, 3,
+4, 5, 6 of the six-term chain bit for bit by construction: the same
+numbers, plus exact additions of 0.0.  ``_means`` also keeps its last
+result, keyed by the canonical text ``str(f)`` and the float.hex bits of a,
+b and tol (so -0.0 and 0.0 stay apart), and returns it to the next call
+with the same key, so checks of one f on one interval run one after another
+share one pass, as a sweep case's checks and ``max_feasible_c``'s calls of
+``theorem1_chain`` do.  It keeps that one entry and no refusal, so a
+refused input is refused again.  The classical
 chain needs no positivity and integrates f alone.  An integral whose error
 estimate misses its tolerance, both as an integral and as a mean (the depth
 cap or the roundoff floor stopped it), raises a ValueError naming the rows
@@ -301,18 +302,6 @@ def classical_hh_terms(
     return _report(f, a, b, 0.0, terms, margin_tol)
 
 
-def _dm_assemble(f, a, b, m: _Means, margin_tol) -> ChainReport:
-    terms = [
-        ("midpoint_value", m.fm),
-        ("exp_mean_log", m.exp_mean_log),
-        ("mean_geometric_reflected", m.mean_geometric),
-        ("mean_integral", m.mean_f),
-        ("log_mean_endpoints", m.log_mean),
-        ("endpoint_average", m.end_avg),
-    ]
-    return _report(f, a, b, 0.0, terms, margin_tol)
-
-
 def dragomir_mond_chain(
     f: Expression,
     a: float,
@@ -326,7 +315,16 @@ def dragomir_mond_chain(
                <= L(f(a), f(b)) <= (f(a)+f(b))/2.
     """
     a, b = _validate_interval(a, b)
-    return _dm_assemble(f, a, b, _means(f, a, b, tol), margin_tol)
+    m = _means(f, a, b, tol)
+    terms = [
+        ("midpoint_value", m.fm),
+        ("exp_mean_log", m.exp_mean_log),
+        ("mean_geometric_reflected", m.mean_geometric),
+        ("mean_integral", m.mean_f),
+        ("log_mean_endpoints", m.log_mean),
+        ("endpoint_average", m.end_avg),
+    ]
+    return _report(f, a, b, 0.0, terms, margin_tol)
 
 
 # Theorem 1's five terms: (name, _Means field, d), each term the field plus
@@ -339,12 +337,6 @@ _THEOREM1_TERMS = (
     ("log_mean_minus_correction", "log_mean", -6.0),
     ("endpoint_average_minus_correction", "end_avg", -6.0),
 )
-
-
-def _theorem1_assemble(f, a, b, c, m: _Means, margin_tol) -> ChainReport:
-    q2 = c * _squared_width(a, b)
-    terms = [(name, getattr(m, field) + q2 / d) for name, field, d in _THEOREM1_TERMS]
-    return _report(f, a, b, c, terms, margin_tol)
 
 
 def theorem1_chain(
@@ -364,7 +356,10 @@ def theorem1_chain(
     """
     a, b = _validate_interval(a, b)
     c = _modulus(c)
-    return _theorem1_assemble(f, a, b, c, _means(f, a, b, tol), margin_tol)
+    m = _means(f, a, b, tol)
+    q2 = c * _squared_width(a, b)
+    terms = [(name, getattr(m, field) + q2 / d) for name, field, d in _THEOREM1_TERMS]
+    return _report(f, a, b, c, terms, margin_tol)
 
 
 # --------------------------------------------------------------------------
@@ -422,29 +417,7 @@ def theorem2_bound(
     c = _modulus(c)
     if form not in _THEOREM2_FORMS:
         raise ValueError(f"form must be one of {_THEOREM2_FORMS}, got {form!r}")
-    return _theorem2_assemble(f, a, b, c, _means(f, a, b, tol), margin_tol, form)
-
-
-def _theorem2_bracket(fa: float, fb: float) -> Tuple[float, float]:
-    """f(b) J(f(a)/f(b)) + f(a) J(f(b)/f(a)), and k = ln(f(a)/f(b)).
-
-    Where a ratio leaves the doubles (f(a)/f(b) underflows as f(b)/f(a)
-    overflows), or J of one overflows, u J(1/u) = J(u) makes the two terms
-    equal, so the bracket is twice the term whose ratio is at most 1, with J
-    written in k = ln f(a) - ln f(b).
-    """
-    u, v = fa / fb, fb / fa
-    if math.isfinite(u) and math.isfinite(v):  # u underflows to 0 only as v overflows
-        bracket = fb * closed_form_J(u) + fa * closed_form_J(v)
-        if math.isfinite(bracket):
-            return bracket, math.log(u)
-    k = math.log(fa) - math.log(fb)
-    if k <= 0.0:
-        return 2.0 * fb * _J(math.exp(k), k), k
-    return 2.0 * fa * _J(math.exp(-k), -k), k
-
-
-def _theorem2_assemble(f, a, b, c, m: _Means, margin_tol, form) -> Theorem2Report:
+    m = _means(f, a, b, tol)
     fa, fb, lhs = m.fa, m.fb, m.mean_product
     bracket, k = _theorem2_bracket(fa, fb)
     q2 = c * _squared_width(a, b)
@@ -483,6 +456,25 @@ def _theorem2_assemble(f, a, b, c, m: _Means, margin_tol, form) -> Theorem2Repor
     )
 
 
+def _theorem2_bracket(fa: float, fb: float) -> Tuple[float, float]:
+    """f(b) J(f(a)/f(b)) + f(a) J(f(b)/f(a)), and k = ln(f(a)/f(b)).
+
+    Where a ratio leaves the doubles (f(a)/f(b) underflows as f(b)/f(a)
+    overflows), or J of one overflows, u J(1/u) = J(u) makes the two terms
+    equal, so the bracket is twice the term whose ratio is at most 1, with J
+    written in k = ln f(a) - ln f(b).
+    """
+    u, v = fa / fb, fb / fa
+    if math.isfinite(u) and math.isfinite(v):  # u underflows to 0 only as v overflows
+        bracket = fb * closed_form_J(u) + fa * closed_form_J(v)
+        if math.isfinite(bracket):
+            return bracket, math.log(u)
+    k = math.log(fa) - math.log(fb)
+    if k <= 0.0:
+        return 2.0 * fb * _J(math.exp(k), k), k
+    return 2.0 * fa * _J(math.exp(-k), -k), k
+
+
 def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     """Largest c for which the strengthened chain still holds, in closed form.
 
@@ -510,8 +502,7 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
     7.0 at 1e-5 and 601 at 1e-6.
     """
     a, b = _validate_interval(a, b)
-    m = _means(f, a, b, tol)
-    report = _theorem1_assemble(f, a, b, 0.0, m, tol)
+    report = theorem1_chain(f, a, b, 0.0, tol, margin_tol=tol)
     if not report.holds:
         raise NotLogConvexError(
             "chain fails already at c = 0; f is not log-convex on the interval "
@@ -519,6 +510,7 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
             report=report,
         )
 
+    m = _means(f, a, b, tol)  # the pass theorem1_chain just kept
     w2 = _squared_width(a, b)
     terms = [(getattr(m, field), w2 / d) for _, field, d in _THEOREM1_TERMS]  # p + q c
     pieces = [(tol, 0.0)]
@@ -545,6 +537,6 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
             f"or its ulp step {ulp!r} is not a finite double"
         )
     for c in (max(0.0, c_max - ulps * ulp) for ulps in (0, 1, 2, 4, 8, 16)):
-        if _theorem1_assemble(f, a, b, c, m, tol).holds:
+        if theorem1_chain(f, a, b, c, tol, margin_tol=tol).holds:
             return float(c)
     raise ArithmeticError(f"solved modulus {c_max!r} fails the chain beyond rounding")

@@ -379,7 +379,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     sys.stdout.write(text)
     return out.code
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

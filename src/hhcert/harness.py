@@ -15,14 +15,14 @@ are bit-identical across reruns and independent of execution order.  A
 sweep brackets each case's modulus once with ``modulus_bracket`` and draws
 c = c_lo * u with u in (0, 1] where the bracket proves c_lo > 0, which is
 conservative by proof; every other case gets no c.  It passes c and the
-bracket to ``run_case``, which parses the expression once and assembles
-every chain from one quadrature pass.  The Dragomir-Mond chain runs for
-every case (it only needs positivity); the strengthened chain and the
-product bound run when c is given.  A check that refuses its case (an
-error of ``chains._REFUSALS``, on which the CLI exits 2) records
-not_applicable.  Failures of the "as printed" product bound are tallied
-separately and never fail a sweep: they document a typeset discrepancy,
-not a property of f.
+bracket to ``run_case``, which parses the expression once and calls the
+public chain checks, which share the one quadrature pass ``chains`` keeps.
+The Dragomir-Mond chain runs for every case (it only needs positivity);
+the strengthened chain and the product bound run when c is given and it
+was not refused.  A check that refuses its case (an error of
+``chains._REFUSALS``, on which the CLI exits 2) records not_applicable.
+Failures of the "as printed" product bound are tallied separately and
+never fail a sweep: they document a typeset discrepancy, not a property of f.
 """
 
 from __future__ import annotations
@@ -171,9 +171,11 @@ def run_case(
 ) -> CaseResult:
     """Run every applicable chain check of one case at modulus ``c``.
 
-    The strengthened chain and the product bound run only when ``c`` is
-    given: a sweep passes c = c_lo * u for a case whose bracket proves a
-    positive modulus, and tests may force any c, including infeasible ones.
+    It calls ``dragomir_mond_chain``, then ``theorem1_chain`` and
+    ``theorem2_bound(form="both")``, which reuse the first one's quadrature
+    pass; these run only when ``c`` is given and the first was not refused:
+    a sweep passes c = c_lo * u for a case whose bracket proves a positive
+    modulus, and tests may force any c, including infeasible ones.
     ``bracket`` is only recorded in the result, as the proof c rests on.
     """
     outcomes: Dict[str, str] = {kind: NOT_APPLICABLE for kind in CHAIN_KINDS}
@@ -183,17 +185,15 @@ def run_case(
     f = case.expression()
     a, b = case.a, case.b
     try:
-        m = chains._means(f, a, b, tol)
-        dm = chains._dm_assemble(f, a, b, m, margin_tol)
+        dm = chains.dragomir_mond_chain(f, a, b, tol, margin_tol)
         outcomes[KIND_DM], margins[KIND_DM], pairs[KIND_DM] = _chain_outcome(dm)
     except chains._REFUSALS:
-        m = None
-    if m is not None and c is not None:
+        dm = None
+    if dm is not None and c is not None:
         try:
-            modulus = chains._modulus(c)
-            t1 = chains._theorem1_assemble(f, a, b, modulus, m, margin_tol)
+            t1 = chains.theorem1_chain(f, a, b, c, tol, margin_tol)
             outcomes[KIND_T1], margins[KIND_T1], pairs[KIND_T1] = _chain_outcome(t1)
-            t2 = chains._theorem2_assemble(f, a, b, modulus, m, margin_tol, "both")
+            t2 = chains.theorem2_bound(f, a, b, c, tol, margin_tol, form="both")
             outcomes[KIND_T2] = HOLDS if t2.holds_corrected else VIOLATED
             margins[KIND_T2] = t2.margin_corrected
             pairs[KIND_T2] = chains._THEOREM2_PAIR

@@ -317,6 +317,9 @@ def test_enclosures_contain_mpmath_interval_values(root, lo, width):
         ("cosh(x)", -1.0, 2.0, (1.0, math.cosh(2.0))),
         ("sin(x)", 0.0, 3.0, (0.0, 1.0)),
         ("cos(x)", 1.0, 4.0, (-1.0, math.cos(1.0))),
+        # a literal's comparisons are Python bools, which once enclosed these as [-1, 1]
+        ("cos(0.1)", 0.0, 1.0, (math.cos(0.1),) * 2),
+        ("sin(1)", 0.0, 1.0, (math.sin(1.0),) * 2),
     ],
 )
 def test_enclosures_are_tight_on_monotone_pieces_and_extrema(text, lo, hi, expected):
@@ -497,6 +500,15 @@ def test_log_affine_certifies_zero_exactly_at_the_default_grid():
     for text in ("exp(x)", "exp(-1.5*x + 0.3)", "exp(0.5*x + 0.25)"):
         cert = estimate_modulus(parse(text), -1.0, 1.0)
         assert (cert.c_star, cert.status) == (0.0, CertStatus.CERTIFIED_ZERO)
+
+
+@pytest.mark.parametrize("text", ["exp(x)*cos(0)", "exp(x)*cos(0.1)", "exp(2*x)*sin(1)"])
+def test_a_log_affine_f_with_a_trig_literal_certifies_zero(text):
+    # each once certified not_log_convex, c_star about -3e-7 to -6e-7, from
+    # an open bracket: sin and cos of a literal enclosed as [-1, 1]
+    cert = estimate_modulus(parse(text), 0.1, 1.0)
+    assert (cert.c_star, cert.status, cert.refinement_rounds) == (
+        0.0, CertStatus.CERTIFIED_ZERO, 0)
 
 
 @pytest.mark.parametrize("b", [1e-4, 1e-6, 1e-8, 1e-10])

@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import hhcert
 from hhcert import chains, harness
 from hhcert.certify import NotPositiveError
 from hhcert.chains import NotLogConvexError
@@ -566,3 +570,12 @@ def test_sweep_text_notes_the_as_printed_failures(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "hhcert" in capsys.readouterr().out
+
+
+def test_the_package_runs_as_a_module():
+    src = os.path.dirname(os.path.dirname(hhcert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "hhcert", "--version"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"hhcert {hhcert.__version__}\n"

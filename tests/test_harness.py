@@ -138,6 +138,26 @@ def test_run_case_makes_one_quadrature_pass(monkeypatch):
     assert len(calls) == 1
     assert all(result.outcomes[kind] == "holds" for kind in (KIND_DM, KIND_T1, KIND_T2))
 
+    # the sweep's verdicts are the public checks', each run on a pass of its own
+    def fresh(check, *args, **kwargs):
+        chains._last_means = ((), None)
+        return check(case.expression(), case.a, case.b, *args, **kwargs)
+
+    def outcome(holds, margin):
+        return ("holds" if holds else "violated"), margin.hex()
+
+    dm = fresh(chains.dragomir_mond_chain)
+    t1 = fresh(chains.theorem1_chain, 0.5)
+    t2 = fresh(chains.theorem2_bound, 0.5, form="both")
+    assert len(calls) == 4
+    assert {kind: (result.outcomes[kind], result.min_margins[kind].hex())
+            for kind in CHAIN_KINDS} == {
+        KIND_DM: outcome(dm.holds, dm.min_margin),
+        KIND_T1: outcome(t1.holds, t1.min_margin),
+        KIND_T2: outcome(t2.holds_corrected, t2.margin_corrected),
+        KIND_T2_PRINTED: outcome(t2.holds_as_printed, t2.margin_as_printed),
+    }
+
 
 def test_case_without_modulus_skips_strengthened_checks():
     result = run_case(constant_case(), c=None)
