@@ -10,12 +10,10 @@ for all x, y in [a, b] and lam in (0, 1).  The defect ratio of a triple,
 
 is the largest c for which the inequality holds at that triple, so the
 maximal modulus c* is the infimum of the ratio over admissible triples.
-``estimate_modulus`` estimates that infimum by a uniform grid search,
-followed by local refinement around the running minimizer wherever the
-grid still decides the reported modulus (see below).  Under a
-not_log_convex bracket the rounds are skipped once the clip pins c_star at
-the proved c_up < 0, where no round can change the status; an open
-bracket searches every round, since there the grid's sign decides it.
+``estimate_modulus`` answers from ``modulus_bracket`` wherever the bracket
+settles a status (below); only under an open bracket does it estimate that
+infimum by a uniform grid search, followed by local refinement around the
+running minimizer.
 
 The numerator is evaluated in the log domain as
 
@@ -38,7 +36,7 @@ grid size N, so a call whose grids would sample more than TRIPLE_BUDGET
 triples is refused with a ValueError before the first grid; each grid
 counts as at least 2**13 triples, the cost of its fixed work.  The budget
 bounds only the grids that run, so it never refuses a call that the
-bracket answers (below).  An interval so narrow (or wide) that
+bracket answers.  An interval so narrow (or wide) that
 lam*(1-lam)*(x-y)^2 leaves (0, inf) at some admissible triple raises a
 ValueError naming the grid instead of returning a nan or infinite ratio.
 
@@ -47,15 +45,16 @@ infimum, is an upper estimate of c*.  ``modulus_bracket`` gives the proof:
 a lower bound c_lo and an upper bound c_up on c* from g = ln f, its
 symbolic derivatives and their outward-rounded interval enclosures, with
 the verdict they settle; its c_up is the least of two limits of the
-ratio, as x and y meet and as lam tends to 0, at 17 edges.  Where the
-bracket settles certified_positive
-or certified_zero, ``estimate_modulus`` reports the proved c_lo and
-samples no grid at all, since no grid value could move it; its witness is
-then the bracket edge where c_up is attained, the nearest other edge and
-lam = 1/2.  So a constant on [0, 1e-160], exp(x^2) there and
-1e300*exp(1e20*x^2) on [0, 1e-10] are certified, where the grid would
-refuse a denominator that underflows or a minimum that overflows.
-Elsewhere it clips the grid infimum into the bracket.  A
+ratio, as x and y meet and as lam tends to 0, at 17 edges.  Wherever the
+bracket settles a status, ``estimate_modulus`` answers from it and samples
+no grid at all: c_star is the proved c_lo for certified_positive and
+certified_zero, and the proved c_up < 0 for not_log_convex, and the
+witness is the edge where the local term's upper enclosure is least, the
+nearest other edge and lam = 1/2.  So a constant on [0, 1e-160],
+exp(x^2) there, exp(-x^2) on [0, 1] at any grid and 1e300*exp(1e20*x^2) on
+[0, 1e-10] are answered, where the grid would refuse a denominator that
+underflows, a budget it exceeds or a minimum that overflows.  Under an
+open bracket it clips the grid infimum into the bracket.  A
 certified_positive c_star from the bracket never exceeds c*, up to the
 one ulp of libm error the enclosures assume; one from the grid is an
 upper estimate, and can exceed c* where the bracket leaves the verdict
@@ -119,8 +118,9 @@ class NotPositiveError(Exception):
 class ModulusCertificate:
     c_star: float
     # (x, y, lam) attaining the sampled minimum where the grid decides c_star;
-    # where the bracket fixes it, (the edge where c_up is attained, the
-    # nearest other edge, 1/2), with no grid sampled
+    # where the bracket settles the status, (the edge where the local term's
+    # upper enclosure is least, the nearest other edge, 1/2), with no grid
+    # sampled
     witness: Tuple[float, float, float]
     grid_size: int
     refinement_rounds: int
@@ -419,8 +419,10 @@ def modulus_bracket(f: Expression, a: float, b: float) -> ModulusBracket:
 def _bracket(f: Expression, a: float, b: float) -> Tuple[ModulusBracket, np.ndarray, int]:
     """``modulus_bracket`` on a validated [a, b], with its 17 edges.
 
-    Also the index of the edge where c_up is attained (0 if none is), from
-    which ``_edge_witness`` builds a settled certificate's witness.
+    Also the index of the edge where the local term's upper enclosure is
+    least (0 if none is finite), from which ``_edge_witness`` builds a
+    settled certificate's witness.  Where c_up takes the edge term, c_up
+    need not be attained there.
     """
     # loaded on first use, so a process that never brackets a modulus (a
     # chain check, an integral) does not load it
@@ -468,6 +470,9 @@ def _bracket(f: Expression, a: float, b: float) -> Tuple[ModulusBracket, np.ndar
 
 def _edge_witness(edges: np.ndarray, edge: int) -> Tuple[float, float, float]:
     """(t, s, 1/2): t the bracket's edge of that index, s the nearest other edge.
+
+    The index is ``_bracket``'s, the edge where the upper enclosure of the
+    local term f g''/2 is least.
 
     Edges can coincide on an interval a few ulps wide, so s is the nearest
     edge distinct from t (the lower one on a tie); a < b makes one exist.
@@ -529,36 +534,25 @@ def estimate_modulus(
 ) -> ModulusCertificate:
     """Estimate the maximal strong log-convexity modulus of f on [a, b].
 
-    Brackets the modulus with ``modulus_bracket`` first.  Where the bracket
-    settles certified_positive or certified_zero, c_star is the proved c_lo,
-    the status is the bracket's, and no grid is sampled: every sampled ratio
-    is an upper estimate of c*, so none could move it.  The witness is then
-    the bracket edge where c_up is attained, the nearest other edge and
-    lam = 1/2, and refinement_rounds is 0.
+    Brackets the modulus with ``modulus_bracket`` first.  Wherever the
+    bracket settles a status, the certificate is the bracket's and no grid
+    is sampled: c_star is the proved c_lo for certified_positive and
+    certified_zero, and the proved c_up < 0 for not_log_convex.  The witness
+    is then the edge where the local term's upper enclosure is least, the
+    nearest other edge and lam = 1/2, and refinement_rounds is 0.
 
-    Otherwise (the bracket is open or settles not_log_convex) it samples x
-    and y on a uniform grid over [a, b] and lam on the uniform interior
-    grid j/(grid_n+1), then performs ``refine_rounds`` rounds of local
-    search in boxes centered on the running witness, each box half the
-    width of the previous one (clipped to the domain).  c_star is the
-    running minimum over everything sampled, which extra rounds never raise,
-    clipped into [c_lo, c_up]; the status follows its sign, with
-    |c_star| <= ZERO_TOLERANCE as zero.  Where the bracket settles
-    not_log_convex (c_up < 0) and the first grid's minimum is at or above
-    c_up, the clip pins c_star at c_up and no round is searched
-    (refinement_rounds is 0): a round could only lower c_star below c_up,
-    never change the status.  c_star is then the proved c_up, still an
-    upper estimate of c*, where a full search could end slightly lower.
-    Since c_up takes the edge term (see ``modulus_bracket``), the first
-    grid's minimum sits at or above c_up wherever the ratio is least at a
-    corner of the box, as lam tends to 0 or 1, as on most log-concave
-    (x + s)^p.
-    An open bracket searches every round, since there the sign of the grid
-    minimum decides the status.  Raises ValueError unless a < b are
-    finite with a finite width b - a, when the refine_rounds + 1 grids of
+    Only under an open bracket does it sample x and y on a uniform grid
+    over [a, b] and lam on the uniform interior grid j/(grid_n+1), then
+    perform ``refine_rounds`` rounds of local search in boxes centered on
+    the running witness, each box half the width of the previous one
+    (clipped to the domain).  c_star is the running minimum over everything
+    sampled, which extra rounds never raise, clipped into [c_lo, c_up]; the
+    status follows its sign, with |c_star| <= ZERO_TOLERANCE as zero.
+    Raises ValueError unless a < b are finite with a finite width b - a,
+    and, under an open bracket only, when the refine_rounds + 1 grids of
     grid_n^3 triples, each counted as at least 2**13, exceed TRIPLE_BUDGET
-    (charged before the first grid, and only where the grids run), and
-    when the grid minimum is not finite.
+    (charged before the first grid) and when the grid minimum is not
+    finite.
     """
     a, b = _validate_interval(a, b)
     if grid_n < 3:
@@ -567,18 +561,15 @@ def estimate_modulus(
         raise ValueError(f"refine_rounds must be nonnegative, got {refine_rounds}")
 
     bracket, edges, edge = _bracket(f, a, b)
-    if bracket.status in (CertStatus.CERTIFIED_POSITIVE, CertStatus.CERTIFIED_ZERO):
-        return ModulusCertificate(bracket.c_lo, _edge_witness(edges, edge), grid_n, 0,
+    if bracket.status is not None:
+        c_star = bracket.c_up if bracket.status is CertStatus.NOT_LOG_CONVEX else bracket.c_lo
+        return ModulusCertificate(c_star, _edge_witness(edges, edge), grid_n, 0,
                                   bracket.status, bracket.c_lo, bracket.c_up)
 
     _check_budget(grid_n, refine_rounds + 1)
     xs = np.linspace(a, b, grid_n)
     lams = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
     best, witness = _min_over_grid(f, xs, xs, lams)
-    if bracket.status is CertStatus.NOT_LOG_CONVEX and best >= bracket.c_up:
-        # the clip pins c_star at c_up < 0, which fixes the status; a round
-        # could only lower c_star below c_up
-        refine_rounds = 0
     for round_index in range(1, refine_rounds + 1):
         wx, wy, wl = witness
         half_x = (b - a) * 0.5 ** (round_index + 1)
@@ -592,7 +583,6 @@ def estimate_modulus(
 
     if not math.isfinite(best):
         raise ValueError(f"the sampled modulus c_star is {best!r}; no certificate can rest on it")
-    # a not_log_convex bracket has c_up < 0, so the clip makes c_star negative
     c_star = min(max(best, bracket.c_lo), bracket.c_up)
     if c_star < 0.0:
         status = CertStatus.NOT_LOG_CONVEX
@@ -613,11 +603,12 @@ def check_modulus(
 ) -> ModulusCheck:
     """Check whether c (minus 1e-12) is at most the certified modulus.
 
-    The certificate is ``estimate_modulus``'s without refinement, so the
-    defect is the proved c_lo where the bracket settles the verdict, with
-    no grid sampled, no budget charged and the bracket edge witness, and
-    otherwise the bracket-clipped minimum of the first grid, with the worst
-    sampled triple.  ok=False means c exceeds what the certificate stands
+    The certificate is ``estimate_modulus``'s without refinement, so where
+    the bracket settles the verdict the defect is its proved c_lo (c_up
+    under not_log_convex), with no grid sampled, no budget charged and the
+    bracket edge witness; only under an open bracket is it the
+    bracket-clipped minimum of the first grid, with the worst sampled
+    triple.  ok=False means c exceeds what the certificate stands
     behind.  Raises ValueError as ``estimate_modulus`` does.
     """
     c = float(c)

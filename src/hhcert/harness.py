@@ -231,6 +231,8 @@ def sweep_results(
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be at least 1, got {n_cases}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     families = tuple(families)
     if not families:
         raise ValueError("need at least one family")

@@ -140,6 +140,8 @@ def _validate_interval(a: float, b: float) -> Tuple[float, float]:
 def _validate_tolerance(tol) -> np.ndarray:
     """tol as a 1-D array of tolerances; refused unless each is positive and finite."""
     tols = np.array(tol, dtype=float, ndmin=1)
+    if tols.size == 0:
+        raise ValueError(f"need at least one tolerance, got {tol!r}")
     if tols.ndim > 1 or not (tols.min() > 0.0 and np.isfinite(tols).all()):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     return tols

@@ -29,7 +29,8 @@ EXP_X = parse("exp(x)")
 ONE = parse("1")
 POWER = parse("(x + 0.3)^1.5")  # log-concave: negative minimum
 # log-concave with its peak at 0.4, between the bracket's edges on [0, 1] and
-# [0.25, 1.75]: the grid samples ratios below c_up there, so it decides c_star
+# [0.25, 1.75]: the grid samples ratios below c_up there, and decides c_star
+# where the bracket is forced open
 PEAK = parse("exp(-(x - 0.4)^2)")
 
 
@@ -305,17 +306,17 @@ def _evaluator_calls(monkeypatch, run) -> tuple:
         calls.append(np.size(xs))
         return evaluate_array(f, xs)
 
-    monkeypatch.setattr(hhcert.expr, "evaluate_array", counting)
-    result = run()
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(hhcert.expr, "evaluate_array", counting)
+        result = run()
     return result, calls
 
 
 def test_one_evaluator_call_per_grid_and_per_tile(monkeypatch):
     # grid 16 is one tile per round: f on xs, then f on each tile's interior
     # points for the first grid; f on xs and ys together, then on the tile,
-    # for each of the three refinement rounds, which exp(-(x - 0.4)^2) runs
-    # because its grid minimum sits below its c_up, so the grid decides c_star
+    # for each of the three refinement rounds, which an open bracket runs
+    _force_open(monkeypatch)
     _, calls = _evaluator_calls(
         monkeypatch, lambda: estimate_modulus(PEAK, 0.0, 1.0, grid_n=16, refine_rounds=3))
     assert len(calls) == 8
@@ -333,20 +334,54 @@ def _tiles(monkeypatch, run) -> tuple:
         tiles.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(certify_module, "_defect_tile", counting_kernel)
-    result = run()
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(certify_module, "_defect_tile", counting_kernel)
+        result = run()
     return result, len(tiles)
+
+
+def _open_bracket(f, a, b):
+    """``_bracket`` as it returns where the bracket leaves the verdict open."""
+    import hhcert.certify as certify_module
+
+    return certify_module._OPEN, np.linspace(a, b, certify_module._BRACKET_PIECES + 1), 0
+
+
+def _force_open(monkeypatch) -> None:
+    """Leave every bracket open, so the grid walks whatever later bracket proofs settle."""
+    import hhcert.certify as certify_module
+
+    monkeypatch.setattr(certify_module, "_bracket", _open_bracket)
+
+
+def _no_grid(monkeypatch, run):
+    """What ``run()`` returns, with any grid walk an error."""
+    import hhcert.certify as certify_module
+
+    def walked(*args):
+        raise AssertionError("a grid was walked")
+
+    with monkeypatch.context() as m:
+        m.setattr(certify_module, "_min_over_grid", walked)
+        return run()
+
+
+def _assert_a_not_log_convex_answer(f, cert) -> None:
+    """The bracket's not_log_convex answer: c_up, no round and a counterexample witness."""
+    assert cert.status is CertStatus.NOT_LOG_CONVEX and cert.refinement_rounds == 0
+    assert cert.c_star == cert.c_up < 0.0
+    assert log_defect(f, *cert.witness) < 0.0
 
 
 EXP_AFFINE = parse("exp(0.7*x - 0.3)")
 
 
-@pytest.mark.parametrize("f", [EXP_X2, EXP_AFFINE], ids=["exp_x2", "exp_affine"])
+@pytest.mark.parametrize("f", [EXP_X2, EXP_AFFINE, EXP_MINUS_X2],
+                         ids=["exp_x2", "exp_affine", "exp_minus_x2"])
 def test_a_bracket_settled_modulus_samples_no_grid(monkeypatch, f):
-    # c_lo > 0 (exp(x^2)) or c_lo = c_up = 0 (exp(0.7*x - 0.3)) fixes c_star,
-    # so neither the first grid nor a round is walked, and f is never
-    # evaluated on a grid
+    # c_lo > 0 (exp(x^2)), c_lo = c_up = 0 (exp(0.7*x - 0.3)) or c_up < 0
+    # (exp(-x^2)) settles the status, so neither the first grid nor a round
+    # is walked, and f is never evaluated on a grid
     cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(f, 0.0, 1.0, 64, 3))
     assert tiles == 0 and cert.refinement_rounds == 0 and cert.grid_size == 64
     _, calls = _evaluator_calls(monkeypatch, lambda: estimate_modulus(f, 0.0, 1.0, 64, 3))
@@ -357,10 +392,13 @@ def test_a_bracket_settled_modulus_samples_no_grid(monkeypatch, f):
 
 @pytest.mark.parametrize("rounds", [0, 1, 3])
 def test_a_not_log_convex_modulus_walks_every_grid(monkeypatch, rounds):
-    # grid 16 is one tile: the first grid and each round's, since the first
-    # grid's minimum sits below c_up and leaves c_star to the grid
-    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(PEAK, 0.0, 1.0, 16, rounds))
-    assert tiles == 1 + rounds and cert.refinement_rounds == rounds
+    # the name is the rule before the bracket answered not_log_convex, when
+    # PEAK's grid minimum below c_up decided c_star.  Now the bracket answers
+    # at any rounds: c_star is the proved c_up, no grid is walked, and the
+    # witness is a triple whose defect ratio is negative
+    cert = _no_grid(monkeypatch, lambda: estimate_modulus(PEAK, 0.0, 1.0, 16, rounds))
+    _assert_a_not_log_convex_answer(PEAK, cert)
+    assert cert.c_up == modulus_bracket(PEAK, 0.0, 1.0).c_up
 
 
 def _full_search(f: Expression, a: float, b: float, grid_n: int, rounds: int) -> float:
@@ -382,34 +420,33 @@ def _full_search(f: Expression, a: float, b: float, grid_n: int, rounds: int) ->
 
 
 @pytest.mark.parametrize(
-    "text, a, b, grid_n, tiles_walked, c_star_hex",
+    "text, a, b, grid_n, c_star_hex",
     [
-        ("exp(-x^2)", 0.0, 1.0, 16, 1, "-0x1.ffffffffffffdp-1"),
-        # grid 64 is four tiles of 16 x-rows
+        ("exp(-x^2)", 0.0, 1.0, 16, "-0x1.ffffffffffffdp-1"),
         ("(x + 1.3609631786933962)^0.4725329956401376", -1.2227591683530141,
-         0.7128662537103811, 64, 4, (-4.855438961488034).hex()),
+         0.7128662537103811, 64, (-4.855438961488034).hex()),
         # c_up here is the edge term at the corners, x = b and y = a as lam
         # tends to 1, below the grid's -1.2978 and the full search's -1.3186
         ("(x + 1.7133926873001548)^1.6551890336849475", -1.0667763623136954,
-         0.568672314550172, 64, 4, (-1.3201289137455738).hex()),
+         0.568672314550172, 64, (-1.3201289137455738).hex()),
     ],
     ids=["exp_minus_x2", "power", "power_edge_term"],
 )
 def test_a_pinned_not_log_convex_modulus_stops_after_the_first_grid(
-    monkeypatch, text, a, b, grid_n, tiles_walked, c_star_hex
+    monkeypatch, text, a, b, grid_n, c_star_hex
 ):
-    # the first grid's minimum sits at or above c_up < 0, so the clip pins
-    # c_star at the proved c_up and no round could change the status
-    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(parse(text), a, b, grid_n, 3))
-    assert tiles == tiles_walked and cert.refinement_rounds == 0
-    assert cert.status is CertStatus.NOT_LOG_CONVEX
-    assert cert.c_star.hex() == cert.c_up.hex() == c_star_hex
+    # these once walked one grid, whose minimum the clip pinned at c_up; the
+    # bracket now answers before any grid, with the same c_star
+    f = parse(text)
+    cert = _no_grid(monkeypatch, lambda: estimate_modulus(f, a, b, grid_n, 3))
+    _assert_a_not_log_convex_answer(f, cert)
+    assert cert.c_star.hex() == c_star_hex
 
 
 def test_a_stopped_modulus_rises_to_c_up_at_most_slightly():
-    # a later round would cross below c_up here, so stopping raises c_star from
-    # the full search's -0.05137122743964545 to the proved c_up; it is still
-    # an upper estimate of c*
+    # the grid's rounds would cross below c_up here, so answering from the
+    # bracket raises c_star from the full search's -0.05137122743964545 to
+    # the proved c_up; it is still an upper estimate of c*
     f = parse("(x + 1.3929032499929193)^0.3862430427598439")
     a, b = 0.879249479141385, 0.9938766857876788
     cert = estimate_modulus(f, a, b, 64, 3)
@@ -421,11 +458,8 @@ def test_a_stopped_modulus_rises_to_c_up_at_most_slightly():
 
 def test_the_stop_matches_the_full_search_of_seeded_powers():
     # (x + s)^p with p in [0.25, 2] is log-concave, so the bracket settles
-    # not_log_convex: the certificate either searched every round and has
-    # the full search's bits, or stopped with c_star pinned at c_up, at or
-    # above the full search's; the draw meets a pin and a rise.  With the
-    # edge term in c_up no draw here searches; the next test pins one that
-    # does
+    # not_log_convex and answers with no round: c_star is the proved c_up, at
+    # or above the full search's; the draw meets equal bits and a rise
     rng = np.random.default_rng(0)
     outcomes = set()
     for _ in range(24):
@@ -437,24 +471,72 @@ def test_the_stop_matches_the_full_search_of_seeded_powers():
         cert = estimate_modulus(f, a, b, 16, 3)
         full = _full_search(f, a, b, 16, 3)
         assert cert.status is CertStatus.NOT_LOG_CONVEX and full < 0.0
-        if cert.refinement_rounds == 3:
-            assert cert.c_star.hex() == full.hex()
-            outcomes.add("searched")
-        else:
-            assert cert.refinement_rounds < 3 and cert.c_star == cert.c_up >= full
-            outcomes.add("pinned" if cert.c_star == full else "raised")
+        assert cert.refinement_rounds == 0 and cert.c_star == cert.c_up >= full
+        outcomes.add("pinned" if cert.c_star == full else "raised")
     assert outcomes == {"pinned", "raised"}
 
 
 def test_a_power_whose_grid_passes_c_up_searches_every_round(monkeypatch):
     # the minimizing pair sits near a, closer together than two of the
-    # bracket's edges, so the grid finds ratios below c_up and decides c_star
+    # bracket's edges, so the grid finds ratios below c_up; these once
+    # decided c_star after every round.  The bracket settles the status, so
+    # it now answers with the proved c_up and walks no grid; the grid's
+    # lower value stays an upper estimate of c*, as c_up is
     f = parse("(x + 1.9116510068209058)^1.3628632569188897")
     a, b = -1.677969199914883, 0.7978694677427951
-    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(f, a, b, 64, 3))
-    assert tiles == 16 and cert.refinement_rounds == 3
-    assert cert.status is CertStatus.NOT_LOG_CONVEX and cert.c_star < cert.c_up
-    assert cert.c_star.hex() == _full_search(f, a, b, 64, 3).hex()
+    cert = _no_grid(monkeypatch, lambda: estimate_modulus(f, a, b, 64, 3))
+    _assert_a_not_log_convex_answer(f, cert)
+    assert _full_search(f, a, b, 64, 3) < cert.c_star
+
+
+def _benchmark_powers(seed: int) -> list:
+    """(text, a, b) of the log-concave (x + s)^p the benchmark's modulus cycle draws for seed.
+
+    The draws of ``bench/workloads.py`` in the same order: 8 exp_quadratic,
+    8 log_affine, 4 (x + s)^-p and 4 (x + s)^p, with p = 0.25 + 1.75 u over
+    stratified u; only the last class is kept.
+    """
+    rng = np.random.default_rng([seed, 2])
+    powers = []
+    for klass, count in (("exp_quadratic", 8), ("log_affine", 8), ("power_neg", 4),
+                         ("power_pos", 4)):
+        for u in rng.permutation((np.arange(count) + rng.random(count)) / count):
+            a, b = 0.0, 0.0
+            while b - a < 0.1:
+                a, b = sorted(float(v) for v in rng.uniform(-2.0, 2.0, size=2))
+            if klass == "exp_quadratic":
+                rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+            elif klass == "log_affine":
+                rng.uniform(-1.0, 1.0)
+            else:
+                s = float(rng.uniform(0.1 - a, 3.0))
+                if klass == "power_pos":
+                    powers.append((f"(x + {s!r})^{0.25 + 1.75 * float(u)!r}", a, b))
+    return powers
+
+
+def test_a_not_log_convex_witness_is_a_counterexample_on_the_benchmark_draws(monkeypatch):
+    # every log-concave power of the modulus cycle at seeds 100-109: the
+    # bracket answers with no grid, and the defect ratio at its witness is
+    # negative, so the witness itself shows that f is not log-convex
+    draws = [draw for seed in range(100, 110) for draw in _benchmark_powers(seed)]
+    assert len(draws) == 40
+    for text, a, b in draws:
+        f = parse(text)
+        _assert_a_not_log_convex_answer(f, _no_grid(monkeypatch, lambda: estimate_modulus(f, a, b)))
+
+
+@pytest.mark.parametrize(
+    "b, grid_n", [(1e-160, 64), (1.0, 2000)], ids=["underflowing_denominator", "past_the_budget"]
+)
+def test_a_not_log_convex_bracket_answers_where_the_grid_would_refuse(monkeypatch, b, grid_n):
+    # the grid's denominator underflows on [0, 1e-160], and 4 grids of 2000^3
+    # triples are past the budget; the bracket needs neither
+    cert = _no_grid(monkeypatch, lambda: estimate_modulus(EXP_MINUS_X2, 0.0, b, grid_n))
+    assert cert.status is CertStatus.NOT_LOG_CONVEX and cert.refinement_rounds == 0
+    assert cert.c_star == cert.c_up < 0.0 and cert.grid_size == grid_n
+    x, y, lam = cert.witness
+    assert 0.0 <= x <= b and 0.0 <= y <= b and x != y and lam == 0.5
 
 
 @pytest.mark.parametrize(
@@ -464,10 +546,11 @@ def test_a_power_whose_grid_passes_c_up_searches_every_round(monkeypatch):
     ids=["exp_x2", "exp_affine", "one", "exp_x2_vertex_inside", "power", "two_ulps"],
 )
 def test_a_bracket_settled_witness_bounds_c_star(f, a, b):
-    # the witness is the edge where c_up is attained, the nearest other edge
-    # and lam = 1/2; c* is the infimum of the defect ratio, so its ratio is
-    # at least the proved c_star.  On [1, 1 + 2 ulps] the 17 edges take three
-    # values, so the nearest other edge is not always the next one
+    # the witness is the edge where the local term's upper enclosure is
+    # least, the nearest other edge and lam = 1/2; c* is the infimum of the
+    # defect ratio, so its ratio is at least the proved c_star.  On
+    # [1, 1 + 2 ulps] the 17 edges take three values, so the nearest other
+    # edge is not always the next one
     cert = estimate_modulus(f, a, b)
     x, y, lam = cert.witness
     assert a <= x <= b and a <= y <= b and x != y and lam == 0.5
@@ -499,18 +582,9 @@ def test_the_bracket_certifies_where_the_grid_would_refuse(text, a, b, c_star_he
     assert a <= x < y <= b and lam == 0.5
 
 
-def _open_bracket(f, a, b):
-    """``_bracket`` as it returns where the bracket leaves the verdict open."""
-    import hhcert.certify as certify_module
-
-    return certify_module._OPEN, np.linspace(a, b, certify_module._BRACKET_PIECES + 1), 0
-
-
 def test_an_open_bracket_searches_every_round(monkeypatch):
     # exp(x^2) with its bracket forced open: the grid decides c_star again
-    import hhcert.certify as certify_module
-
-    monkeypatch.setattr(certify_module, "_bracket", _open_bracket)
+    _force_open(monkeypatch)
     cert = estimate_modulus(EXP_X2, 0.0, 1.0, grid_n=16, refine_rounds=3)
     monkeypatch.undo()
     assert cert.refinement_rounds == 3
@@ -559,9 +633,9 @@ def test_a_near_zero_open_bracket_certifies_zero():
     ],
 )
 def test_c_star_and_status_are_pinned_bit_for_bit(text, c_star_hex, status):
-    # the bits a search of all three rounds gives: skipping the rounds where
-    # the bracket fixes c_star, or where the clip pins exp(-x^2)'s at c_up,
-    # must move neither
+    # the bits a search of all three rounds gives: answering from the
+    # bracket, where c_star is its c_lo or (for exp(-x^2)) its c_up, must
+    # move neither
     cert = estimate_modulus(parse(text), 0.0, 1.0, grid_n=16, refine_rounds=3)
     assert cert.c_star.hex() == c_star_hex
     assert cert.status is status
@@ -573,10 +647,12 @@ def test_the_triple_budget_is_checked_before_sampling(monkeypatch):
     # check_modulus's single grid (646^3 > 2**28 >= 645^3), is refused.  A
     # grid counts as at least 2**13 triples, its fixed cost: a million
     # rounds of grid 3 are refused, grid 16 and the default grid 64 with 3
-    # rounds are not.  exp(-x^2) is not log-convex, so its first grid runs and
-    # the budget is charged for every round it may search; the bracket before
+    # rounds are not.  Under an open bracket the first grid runs and the
+    # budget is charged for every round it may search; the bracket before
     # them evaluates no f
     import hhcert.expr
+
+    _force_open(monkeypatch)
 
     class Sampled(Exception):
         pass
@@ -640,6 +716,7 @@ def test_tiles_stay_small_at_any_grid_size(monkeypatch):
         return defects
 
     monkeypatch.setattr(certify_module, "_defect_tile", recording_kernel)
+    _force_open(monkeypatch)
     n = 300
     check_modulus(EXP_MINUS_X2, 0.0, 1.0, 0.5, grid_n=n)
     assert sum(sizes) == n**3
@@ -650,17 +727,15 @@ def test_equal_minima_pick_the_lexicographically_first_witness(monkeypatch):
     # every defect of a constant is exactly zero, so the reported witness is
     # the first valid triple in (x, y, lam) order; a constant's bracket
     # settles certified_zero without a grid, so it is forced open here
-    import hhcert.certify as certify_module
-
-    monkeypatch.setattr(certify_module, "_bracket", _open_bracket)
+    _force_open(monkeypatch)
     cert = estimate_modulus(ONE, 0.0, 1.0, grid_n=5, refine_rounds=2)
     assert cert.witness == (0.0, 0.25, 1.0 / 6.0)
 
 
-def test_refinement_never_raises_c_star():
-    # exp(-(x - 0.4)^2)'s grid minimum sits below its c_up = -0.99938, so the
-    # grid decides c_star and the rounds lower it toward c* = -1; exp(-x^2)'s
-    # first grid minimum sits at or above its c_up, so it searches no round
+def test_refinement_never_raises_c_star(monkeypatch):
+    # under an open bracket the grid decides c_star, and the rounds lower
+    # exp(-(x - 0.4)^2)'s toward c* = -1
+    _force_open(monkeypatch)
     values = []
     for rounds in range(5):
         cert = estimate_modulus(PEAK, 0.0, 1.0, grid_n=32, refine_rounds=rounds)
@@ -670,7 +745,8 @@ def test_refinement_never_raises_c_star():
     assert values[-1] < values[0]
 
 
-def test_witness_satisfies_bounds():
+def test_witness_satisfies_bounds(monkeypatch):
+    _force_open(monkeypatch)
     cert = estimate_modulus(PEAK, 0.25, 1.75, grid_n=24, refine_rounds=2)
     x, y, lam = cert.witness
     assert 0.25 <= x <= 1.75 and 0.25 <= y <= 1.75
@@ -789,11 +865,12 @@ def test_domain_error_propagates():
 
 
 @pytest.mark.parametrize("grid_n", [16, 64, 200])
-def test_underflowing_denominator_is_a_named_error(grid_n):
+def test_underflowing_denominator_is_a_named_error(monkeypatch, grid_n):
     # on [0, 1e-160] lam*(1-lam)*(x-y)^2 underflows to 0, so the ratios would
-    # be 0/0; where the grid decides c_star (exp(-x^2) is not log-convex),
-    # both entry points refuse and name the interval and the grid rather
-    # than report a nan modulus
+    # be 0/0; where the grid decides c_star (under an open bracket), both
+    # entry points refuse and name the interval and the grid rather than
+    # report a nan modulus
+    _force_open(monkeypatch)
     for run in (
         lambda: estimate_modulus(EXP_MINUS_X2, 0.0, 1e-160, grid_n=grid_n),
         lambda: check_modulus(EXP_MINUS_X2, 0.0, 1e-160, 0.5, grid_n=grid_n),
@@ -864,11 +941,11 @@ def test_an_infinite_or_overflowing_interval_is_refused_before_sampling(a, b, me
                 check(EXP_X, a, b)
 
 
-def test_an_infinite_c_star_is_refused_by_name():
+def test_an_infinite_c_star_is_refused_by_name(monkeypatch):
     # every sampled ratio overflows; the certificate once read inf,
-    # "certified_positive".  The grid decides c_star only where the bracket
-    # does not, so the log-concave mirror image, whose ratios overflow to
-    # -inf, is the input that still reaches this refusal
+    # "certified_positive".  The grid decides c_star only under an open
+    # bracket, where the log-concave mirror image's ratios overflow to -inf
+    _force_open(monkeypatch)
     with pytest.raises(ValueError, match="the sampled modulus c_star is -inf"):
         estimate_modulus(parse("1e300*exp(-1e20*x^2)"), 0.0, 1e-10, 16)
 

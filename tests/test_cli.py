@@ -73,11 +73,24 @@ def test_bad_interval_exits_two(capsys):
     assert code == 2
 
 
+def _force_open(monkeypatch):
+    """Leave every modulus bracket open, so certify walks its grid."""
+    import numpy as np
+
+    from hhcert import certify
+
+    def open_bracket(f, a, b):
+        return certify._OPEN, np.linspace(a, b, certify._BRACKET_PIECES + 1), 0
+
+    monkeypatch.setattr(certify, "_bracket", open_bracket)
+
+
 @pytest.mark.parametrize("extra", [[], ["--json"], ["--grid", "200"]])
-def test_certify_on_an_underflowing_interval_exits_two(capsys, extra):
+def test_certify_on_an_underflowing_interval_exits_two(capsys, monkeypatch, extra):
     # lam*(1-lam)*(x-y)^2 underflows to 0 on [0, 1e-160]: a named error, not
-    # a "certified" nan, wherever the grid decides c_star (exp(-x^2) is not
-    # log-convex; a constant's bracket certifies it with no grid)
+    # a "certified" nan, wherever the grid decides c_star (under an open
+    # bracket; a settled bracket answers with no grid)
+    _force_open(monkeypatch)
     code, out, err = run(capsys, "certify", "--f", "exp(-x^2)", "--a", "0", "--b", "1e-160",
                          *extra)
     assert code == 2
@@ -86,9 +99,11 @@ def test_certify_on_an_underflowing_interval_exits_two(capsys, extra):
 
 
 def test_certify_beyond_the_triple_budget_exits_two(capsys, monkeypatch):
-    # 2000^3 triples in each of 4 grids, which not-log-convex exp(-x^2) would
-    # walk: refused before f is sampled at all
+    # 2000^3 triples in each of 4 grids, which an open bracket would walk:
+    # refused before f is sampled at all
     import hhcert.expr
+
+    _force_open(monkeypatch)
 
     def unreachable(f, xs):
         raise AssertionError("f was sampled before the budget check")
@@ -149,7 +164,9 @@ def formats(capsys, *argv):
          f"above the budget of {2**20} evaluations"),
     ],
 )
-def test_a_report_that_fails_exits_two_alike_in_every_format(capsys, argv, message):
+def test_a_report_that_fails_exits_two_alike_in_every_format(capsys, monkeypatch, argv, message):
+    if message == "the sampled modulus c_star is -inf":
+        _force_open(monkeypatch)  # the grid decides c_star only under an open bracket
     results = formats(capsys, *argv)
     for code, out, err in results:
         assert (code, out, err) == (2, "", results[0][2])
@@ -295,14 +312,17 @@ def test_certify_reports_the_bracket_verdict(capsys, f, a, b, status):
     assert outputs["c_star"] == 0.0 if status == "certified_zero" else outputs["c_star"] > 3.99
 
 
-def test_certify_json_fields(capsys):
-    # exp(-(x-0.4)^2) is not log-convex and its grid minimum sits below c_up,
-    # so its c_star is the grid's and every round is searched; exp(x^2)'s
-    # proved modulus leaves the rounds nothing to move
+def test_certify_json_fields(capsys, monkeypatch):
+    # under an open bracket exp(-(x-0.4)^2)'s c_star is the grid's and every
+    # round is searched; exp(x^2)'s proved modulus leaves the rounds nothing
+    # to move
     for f, status, rounds in [("exp(-(x-0.4)^2)", "not_log_convex", 2),
                               ("exp(x^2)", "certified_positive", 0)]:
-        code, out, _ = run(capsys, "certify", "--f", f, "--a", "0", "--b", "1",
-                           "--grid", "32", "--refine", "2", "--json")
+        with monkeypatch.context() as m:
+            if rounds:
+                _force_open(m)
+            code, out, _ = run(capsys, "certify", "--f", f, "--a", "0", "--b", "1",
+                               "--grid", "32", "--refine", "2", "--json")
         assert code == 0
         doc = json.loads(out)
         outputs = doc["outputs"]

@@ -340,3 +340,13 @@ def test_a_sweep_refuses_its_tolerance_before_drawing_a_case(monkeypatch):
     monkeypatch.setattr(harness, "generate_case", draw)
     with pytest.raises(ValueError, match="tolerance must be positive and finite"):
         sweep(3, tol=0.0)
+
+
+def test_a_sweep_refuses_a_negative_seed_by_name_before_drawing_a_case(monkeypatch):
+    # numpy's SeedSequence once refused it as "expected non-negative integer"
+    def draw(*args, **kwargs):
+        raise AssertionError("a case was drawn")
+
+    monkeypatch.setattr(harness, "generate_case", draw)
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        sweep(3, seed=-1)

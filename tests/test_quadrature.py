@@ -196,6 +196,12 @@ def test_a_tolerance_that_is_not_positive_and_finite_is_refused(tol):
         integrate(lambda xs: xs, 0.0, 1.0, tol=tol)
 
 
+def test_an_empty_tolerance_array_is_refused_by_name():
+    # numpy once refused it as a zero-size array in a reduction
+    with pytest.raises(ValueError, match=r"^need at least one tolerance, got \[\]$"):
+        integrate(lambda xs: xs, 0.0, 1.0, tol=[])
+
+
 def test_scalar_returning_integrand_is_rejected():
     with pytest.raises(ValueError, match="one value per abscissa"):
         integrate(lambda xs: 1.0, 0.0, 1.0)
