@@ -39,6 +39,7 @@ from .expr import (
     Expression,
     ExpressionError,
     ParseError,
+    Refused,
     evaluate,
     evaluate_array,
     parse,
@@ -61,6 +62,7 @@ from .quadrature import IntegrandError, QuadratureResult, integrate, mean_integr
 __all__ = [
     "__version__",
     # expr
+    "Refused",
     "Expression",
     "ExpressionError",
     "ParseError",

@@ -33,12 +33,12 @@ evaluates f once on its interior points and reads positivity off the
 finiteness of the ln f(T) the ratios need anyway; the precise error for
 the first offender is computed only on failure.  Time grows as N^3 in the
 grid size N, so a call whose grids would sample more than TRIPLE_BUDGET
-triples is refused with a ValueError before the first grid; each grid
+triples is refused with ``Refused`` before the first grid; each grid
 counts as at least 2**13 triples, the cost of its fixed work.  The budget
 bounds only the grids that run, so it never refuses a call that the
 bracket answers.  An interval so narrow (or wide) that
-lam*(1-lam)*(x-y)^2 leaves (0, inf) at some admissible triple raises a
-ValueError naming the grid instead of returning a nan or infinite ratio.
+lam*(1-lam)*(x-y)^2 leaves (0, inf) at some admissible triple raises
+``Refused`` naming the grid instead of returning a nan or infinite ratio.
 
 A grid infimum is evidence, not proof: every sampled ratio, and so the
 infimum, is an upper estimate of c*.  ``modulus_bracket`` gives the proof:
@@ -72,7 +72,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .expr import Expression
+from .expr import Expression, Refused
 from .quadrature import _validate_interval
 
 __all__ = [
@@ -105,7 +105,7 @@ class CertStatus(enum.Enum):
     NOT_LOG_CONVEX = "not_log_convex"
 
 
-class NotPositiveError(Exception):
+class NotPositiveError(Refused):
     """f left (0, inf) at a sampled point; the check does not apply."""
 
     def __init__(self, message: str, x: Optional[float] = None, value: Optional[float] = None):
@@ -177,9 +177,9 @@ def log_defect(f: Expression, x: float, y: float, lam: float) -> float:
     y = float(y)
     lam = float(lam)
     if x == y:
-        raise ValueError("log_defect needs x != y")
+        raise Refused("log_defect needs x != y")
     if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must lie strictly inside (0, 1), got {lam!r}")
+        raise Refused(f"lam must lie strictly inside (0, 1), got {lam!r}")
     value, _ = _min_over_grid(f, np.array([x]), np.array([y]), np.array([lam]))
     return value
 
@@ -200,7 +200,7 @@ def _check_denominators(
         return
     if sq.min() * lam_mu.min() > 0.0 and sq.max() * lam_mu.max() < np.inf:
         return
-    raise ValueError(
+    raise Refused(
         "the defect ratio's denominator lam*(1-lam)*(x-y)^2 leaves (0, inf) on the "
         f"{xs.size}x{ys.size}x{n_lams} grid over x in [{float(xs[0])!r}, "
         f"{float(xs[-1])!r}], y in [{float(ys[0])!r}, {float(ys[-1])!r}]: the "
@@ -327,7 +327,7 @@ _GRID_TRIPLES_FLOOR = 2**13
 def _check_budget(grid_n: int, grids: int) -> None:
     triples = max(grid_n**3, _GRID_TRIPLES_FLOOR) * grids
     if triples > TRIPLE_BUDGET:
-        raise ValueError(
+        raise Refused(
             f"{grids} grid(s) of {grid_n}^3 (x, y, lam) triples, each charged at least "
             f"{_GRID_TRIPLES_FLOOR}, ask for {triples} triples, above the certifier's "
             f"budget of {TRIPLE_BUDGET} triples"
@@ -409,7 +409,7 @@ def modulus_bracket(f: Expression, a: float, b: float) -> ModulusBracket:
     provably positive, g not provably twice differentiable on [a, b], the
     bounds straddling 0, or derivative trees past ``calculus.NODE_BUDGET``
     nodes.  The work is bounded: three trees of at most that many nodes,
-    each enclosed once over 33 boxes.  Raises ValueError unless a < b are
+    each enclosed once over 33 boxes.  Raises Refused unless a < b are
     finite with a finite width b - a.
     """
     a, b = _validate_interval(a, b)
@@ -491,13 +491,13 @@ def _edge_term_up(t, f_lo, f_hi, g_lo, d_lo, d_hi) -> float:
     bounded, by f_lo(y) times its upper end over the upper end of (x - y)^2,
     each step rounded up; any other pair bounds c* by nothing below 0.
     """
-    from .calculus import _down, _hull, _up
+    from .calculus import _down, _i_mul, _up
 
     g_hi = _up(np.log(f_hi))
     # x runs down the rows and y across the columns
     d = t[:, None] - t[None, :]
     s_lo, s_hi = _down(d), _up(d)
-    slope_lo = _hull(d_lo * s_lo, d_lo * s_hi, d_hi * s_lo, d_hi * s_hi)[0]
+    slope_lo = _i_mul((d_lo, d_hi), (s_lo, s_hi))[0]
     numerator = _up(_up(g_hi[:, None] - g_lo) - slope_lo)
     square = _up(np.maximum(s_lo * s_lo, s_hi * s_hi))
     bound = _up(_up(f_lo * numerator) / square)
@@ -514,10 +514,10 @@ def _tangent_floor(m, a, b, kappa, g_lo, d_lo, d_hi) -> float:
     over t in [a, b] sits at a corner, for kappa >= 0.  Each step is rounded
     outward, so for a quadratic g the floor is min f up to a few ulps.
     """
-    from .calculus import _down, _hull, _up
+    from .calculus import _down, _i_mul, _up
 
     s_lo, s_hi = _down(a - m), _up(b - m)
-    linear = _hull(d_lo * s_lo, d_lo * s_hi, d_hi * s_lo, d_hi * s_hi)[0]
+    linear = _i_mul((d_lo, d_hi), (s_lo, s_hi))[0]
     square = _up(np.maximum(d_lo * d_lo, d_hi * d_hi))
     quadratic = -_up(square / _down(2.0 * kappa))  # 2 kappa may overflow
     floor = _down(g_lo + np.maximum(linear, quadratic))
@@ -548,7 +548,7 @@ def estimate_modulus(
     (clipped to the domain).  c_star is the running minimum over everything
     sampled, which extra rounds never raise, clipped into [c_lo, c_up]; the
     status follows its sign, with |c_star| <= ZERO_TOLERANCE as zero.
-    Raises ValueError unless a < b are finite with a finite width b - a,
+    Raises Refused unless a < b are finite with a finite width b - a,
     and, under an open bracket only, when the refine_rounds + 1 grids of
     grid_n^3 triples, each counted as at least 2**13, exceed TRIPLE_BUDGET
     (charged before the first grid) and when the grid minimum is not
@@ -556,9 +556,9 @@ def estimate_modulus(
     """
     a, b = _validate_interval(a, b)
     if grid_n < 3:
-        raise ValueError(f"grid_n must be at least 3, got {grid_n}")
+        raise Refused(f"grid_n must be at least 3, got {grid_n}")
     if refine_rounds < 0:
-        raise ValueError(f"refine_rounds must be nonnegative, got {refine_rounds}")
+        raise Refused(f"refine_rounds must be nonnegative, got {refine_rounds}")
 
     bracket, edges, edge = _bracket(f, a, b)
     if bracket.status is not None:
@@ -582,7 +582,7 @@ def estimate_modulus(
             best, witness = value, candidate
 
     if not math.isfinite(best):
-        raise ValueError(f"the sampled modulus c_star is {best!r}; no certificate can rest on it")
+        raise Refused(f"the sampled modulus c_star is {best!r}; no certificate can rest on it")
     c_star = min(max(best, bracket.c_lo), bracket.c_up)
     if c_star < 0.0:
         status = CertStatus.NOT_LOG_CONVEX
@@ -609,10 +609,10 @@ def check_modulus(
     bracket edge witness; only under an open bracket is it the
     bracket-clipped minimum of the first grid, with the worst sampled
     triple.  ok=False means c exceeds what the certificate stands
-    behind.  Raises ValueError as ``estimate_modulus`` does.
+    behind.  Raises Refused as ``estimate_modulus`` does.
     """
     c = float(c)
     if not c > 0.0:
-        raise ValueError(f"modulus must be positive, got {c!r}")
+        raise Refused(f"modulus must be positive, got {c!r}")
     cert = estimate_modulus(f, a, b, grid_n, refine_rounds=0)
     return ModulusCheck(ok=bool(cert.c_star >= c - 1e-12), witness=cert.witness, defect=cert.c_star)

@@ -44,7 +44,7 @@ share one pass, as a sweep case's checks and ``max_feasible_c``'s calls of
 refused input is refused again.  The classical
 chain needs no positivity and integrates f alone.  An integral whose error
 estimate misses its tolerance, both as an integral and as a mean (the depth
-cap or the roundoff floor stopped it), raises a ValueError naming the rows
+cap or the roundoff floor stopped it), raises ``Refused`` naming the rows
 that missed, so no verdict rests on it.
 
 Verdicts (the product bound's as the chain lhs <= rhs) use a margin
@@ -52,8 +52,11 @@ tolerance scaled by max(1, largest |term|), and each quadrature row scales
 its absolute tolerance by a bound on the row's magnitude, so the one-digit
 gap between integral accuracy and verdict tolerance survives functions of
 any size.  A non-finite term would make that tolerance infinite and pass
-any margin, so it raises a ValueError naming the term and c instead, and c
+any margin, so it raises ``Refused`` naming the term and c instead, and c
 itself must be finite, as must (b-a)^2 where a correction scales with it.
+A margin tolerance must be positive and finite, or it would pass or fail
+every margin whatever the terms.  Every input the checks refuse raises
+``expr.Refused``, which the CLI and the sweep catch by type.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import means
-from .certify import NotPositiveError, _positive_values
-from .expr import Expression, ExpressionError
+from .certify import _positive_values
+from .expr import Expression, Refused
 from .quadrature import (
     DEFAULT_TOL,
     IntegrandError,
@@ -96,17 +99,12 @@ _THEOREM2_FORMS = ("corrected", "as_printed", "both")
 _THEOREM2_PAIR = ("mean_product_integral", "rhs_corrected")
 
 
-class NotLogConvexError(Exception):
+class NotLogConvexError(Refused):
     """The chain fails already at c = 0, so f is not numerically log-convex."""
 
     def __init__(self, message: str, report: "ChainReport"):
         super().__init__(message)
         self.report = report
-
-
-# Every error that refuses an input instead of judging it: the CLI exits 2 on
-# these, and a sweep records the case's checks as not_applicable.
-_REFUSALS = (ExpressionError, NotPositiveError, NotLogConvexError, IntegrandError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ def _require_converged(result: QuadratureResult, rows, tols, a: float, b: float)
         for row, err, row_tol, ok in zip(rows, errs.tolist(), np.atleast_1d(tols).tolist(), passed)
         if not ok
     ]
-    raise ValueError(
+    raise Refused(
         f"the integral over [{a!r}, {b!r}] did not converge for {', '.join(missed)}; "
         "no verdict can rest on it"
     )
@@ -220,7 +218,7 @@ def _means(f: Expression, a: float, b: float, tol: float) -> _Means:
     try:
         result = integrate(rows, a, b, tols)
     except IntegrandError as exc:  # rows has checked f itself, so the product overflowed
-        raise ValueError(f"f(x)*f(a+b-x) overflows at x={exc.x!r}") from exc
+        raise Refused(f"f(x)*f(a+b-x) overflows at x={exc.x!r}") from exc
     _require_converged(result, _MEANS_ROWS, tols, a, b)
     mean_f, mean_log, mean_geo, mean_prod = (result.value / (b - a)).tolist()
     log_mean, end_avg = means.logarithmic_mean(fa, fb), means.arithmetic_mean(fa, fb)
@@ -232,9 +230,9 @@ def _means(f: Expression, a: float, b: float, tol: float) -> _Means:
 def _modulus(c: float) -> float:
     c = float(c)
     if not c >= 0.0:
-        raise ValueError(f"modulus must be nonnegative, got {c!r}")
+        raise Refused(f"modulus must be nonnegative, got {c!r}")
     if c == math.inf:
-        raise ValueError(f"modulus must be finite, got {c!r}")
+        raise Refused(f"modulus must be finite, got {c!r}")
     return c
 
 
@@ -243,7 +241,7 @@ def _squared_width(a: float, b: float) -> float:
     try:
         return (b - a) ** 2
     except OverflowError:
-        raise ValueError(f"(b - a)^2 overflows for a={a!r}, b={b!r}") from None
+        raise Refused(f"(b - a)^2 overflows for a={a!r}, b={b!r}") from None
 
 
 def _require_finite(named_terms, c: float) -> None:
@@ -253,10 +251,18 @@ def _require_finite(named_terms, c: float) -> None:
     """
     for name, value in named_terms:
         if value is not None and not math.isfinite(value):
-            raise ValueError(f"term {name} is {value!r} at c={c!r}; no verdict can rest on it")
+            raise Refused(f"term {name} is {value!r} at c={c!r}; no verdict can rest on it")
+
+
+def _validate_margin_tol(margin_tol: float) -> None:
+    """Refuse a margin tolerance that is not positive and finite: inf passes
+    every margin, and nan or a negative one fails a chain that holds."""
+    if not 0.0 < margin_tol < math.inf:
+        raise Refused(f"margin_tol must be positive and finite, got {margin_tol!r}")
 
 
 def _report(f, a, b, c, named_terms, margin_tol) -> ChainReport:
+    _validate_margin_tol(margin_tol)
     _require_finite(named_terms, c)
     values = [v for _, v in named_terms]
     margins = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
@@ -383,7 +389,7 @@ def closed_form_J(u: float) -> float:
     """
     u = float(u)
     if not u > 0.0 or not math.isfinite(u):
-        raise ValueError(f"J needs positive finite u, got {u!r}")
+        raise Refused(f"J needs positive finite u, got {u!r}")
     return _J(u, math.log(u))
 
 
@@ -416,7 +422,7 @@ def theorem2_bound(
     a, b = _validate_interval(a, b)
     c = _modulus(c)
     if form not in _THEOREM2_FORMS:
-        raise ValueError(f"form must be one of {_THEOREM2_FORMS}, got {form!r}")
+        raise Refused(f"form must be one of {_THEOREM2_FORMS}, got {form!r}")
     m = _means(f, a, b, tol)
     fa, fb, lhs = m.fa, m.fb, m.mean_product
     bracket, k = _theorem2_bracket(fa, fb)
@@ -490,7 +496,7 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
     G - f_m falls, so the feasible set is [0, c_max] unless M - G or A - L
     lies below -tol.  The root is checked with the chain's verdict and walked
     down by ulps of the binding margin if rounding put it past.  Raises
-    NotLogConvexError when the chain fails at c = 0, and ValueError when no
+    NotLogConvexError when the chain fails at c = 0, and Refused when no
     margin bounds c (tol >= 1, or w^2 too small to move any term) or when the
     root or its ulp step is not a finite double (w^2 deep among the subnormals,
     as for b - a = 1e-160).  Margins are judged at the integral-accuracy ``tol``: a
@@ -524,15 +530,15 @@ def max_feasible_c(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) 
             scale = max(1.0, abs(p0 + q0 * end), abs(p1 + q1 * end))
             ends.append((end, math.ulp(scale) / -slope))
     if not ends and tol >= 1.0:
-        raise ValueError(f"tol={tol!r} lets the chain hold for every c; need tol < 1")
+        raise Refused(f"tol={tol!r} lets the chain hold for every c; need tol < 1")
     if not ends:
-        raise ValueError(
+        raise Refused(
             f"b - a = {b - a!r} is too narrow for tol={tol!r}: c*(b - a)^2 never moves "
             "a term past its tolerance, so no c bounds the chain"
         )
     c_max, ulp = min(ends)
     if not (math.isfinite(c_max) and math.isfinite(ulp)):
-        raise ValueError(
+        raise Refused(
             f"b - a = {b - a!r} is too narrow for tol={tol!r}: the solved c_max={c_max!r} "
             f"or its ulp step {ulp!r} is not a finite double"
         )

@@ -15,12 +15,13 @@ key order), as CSV rows (``--csv``: one per chain term, per sweep case and
 chain kind, or per output key) or as text.  The document is serialized in
 every format, so the exit code never depends on the format flag: 0 all
 checks hold, 1 at least one inequality violation was found (still a
-successful run), 2 usage errors, a refused input (``chains._REFUSALS``) or
-a non-finite number, or an unwritable ``--out`` path (message on stderr,
-nothing on stdout).  Intervals must be finite with a finite width b - a,
-and tolerances positive and finite; an option value may start with '-'
-(``--a -1e-3``, ``--f -x^2``).  Output is byte-identical across identical
-invocations.
+successful run), 2 usage errors, a refused input (``Refused``) or a
+non-finite number, or an unwritable ``--out`` path (message on stderr,
+nothing on stdout), 3 an internal error, a defect inside hhcert (its
+traceback on stderr, nothing on stdout).  Intervals must be finite with a
+finite width b - a, and tolerances positive and finite; an option value
+may start with '-' (``--a -1e-3``, ``--f -x^2``).  Output is
+byte-identical across identical invocations.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ import functools
 import io
 import math
 import sys
+import traceback
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from . import __version__, chains, harness
 from .certify import estimate_modulus
-from .expr import parse
+from .expr import Refused, parse
 from .quadrature import _integrate_expression
 from .report import dumps_canonical, format_float
 
@@ -367,9 +369,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             text = buffer.getvalue()
         else:
             text = "".join(line + "\n" for line in out.lines)
-    except chains._REFUSALS as exc:
+    except Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a defect inside hhcert, never a verdict or a refusal
+        traceback.print_exc()
+        return 3
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -36,6 +36,7 @@ import numpy as np
 
 __all__ = [
     "Expression",
+    "Refused",
     "ExpressionError",
     "ParseError",
     "DomainError",
@@ -47,7 +48,11 @@ __all__ = [
 ]
 
 
-class ExpressionError(Exception):
+class Refused(ValueError):
+    """An input outside what hhcert can judge, refused by name instead of judged."""
+
+
+class ExpressionError(Refused):
     """Base class for everything this module raises."""
 
 
@@ -363,7 +368,7 @@ def evaluate(f: Expression, x: float) -> float:
     """
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"evaluation point must be finite, got {x!r}")
+        raise Refused(f"evaluation point must be finite, got {x!r}")
     with np.errstate(all="ignore"):
         out = _item(_walk(f.root, np.array([x]), True))
     if not math.isfinite(out):

@@ -19,8 +19,9 @@ bracket to ``run_case``, which parses the expression once and calls the
 public chain checks, which share the one quadrature pass ``chains`` keeps.
 The Dragomir-Mond chain runs for every case (it only needs positivity);
 the strengthened chain and the product bound run when c is given and it
-was not refused.  A check that refuses its case (an error of
-``chains._REFUSALS``, on which the CLI exits 2) records not_applicable.
+was not refused.  A check that refuses its case (``Refused``, on which the
+CLI exits 2) records not_applicable; any other error is a defect and
+propagates.
 Failures of the "as printed" product bound are tallied separately and
 never fail a sweep: they document a typeset discrepancy, not a property of f.
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import chains
 from .certify import CertStatus, ModulusBracket, modulus_bracket
-from .expr import Expression, parse
+from .expr import Expression, Refused, parse
 from .quadrature import _validate_tolerance
 
 __all__ = [
@@ -133,9 +134,9 @@ def generate_case(family: str, rng: np.random.Generator, seed: int = 0) -> CaseS
     [0.1, 5] with |p| <= 2), so f is not evaluated and no draw is redrawn.
     """
     if family == "custom":
-        raise ValueError("custom cases are constructed directly, not generated")
+        raise Refused("custom cases are constructed directly, not generated")
     if family not in ALL_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise Refused(f"unknown family {family!r}")
     a, b = _draw_interval(rng)
     if family == "exp_quadratic":
         alpha = float(rng.uniform(0.0, 3.0))
@@ -187,7 +188,7 @@ def run_case(
     try:
         dm = chains.dragomir_mond_chain(f, a, b, tol, margin_tol)
         outcomes[KIND_DM], margins[KIND_DM], pairs[KIND_DM] = _chain_outcome(dm)
-    except chains._REFUSALS:
+    except Refused:
         dm = None
     if dm is not None and c is not None:
         try:
@@ -201,7 +202,7 @@ def run_case(
                 outcomes[KIND_T2_PRINTED] = HOLDS if t2.holds_as_printed else VIOLATED
                 margins[KIND_T2_PRINTED] = t2.margin_as_printed
                 pairs[KIND_T2_PRINTED] = (chains._THEOREM2_PAIR[0], "rhs_as_printed")
-        except chains._REFUSALS:
+        except Refused:
             pass
 
     return CaseResult(
@@ -225,21 +226,22 @@ def sweep_results(
 
     Case i draws from substream i of SeedSequence(seed) and stores i in
     CaseSpec.seed, so any case can be reproduced from (seed, index) alone.
-    Individual case errors are recorded as not_applicable outcomes and
-    never abort the sweep; a tolerance that every case would refuse is
-    refused before any case is drawn.
+    A case's refusals are recorded as not_applicable outcomes and never
+    abort the sweep, while any other error does; a tolerance or margin_tol
+    that every case would refuse is refused before any case is drawn.
     """
     if n_cases < 1:
-        raise ValueError(f"n_cases must be at least 1, got {n_cases}")
+        raise Refused(f"n_cases must be at least 1, got {n_cases}")
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise Refused(f"seed must be non-negative, got {seed}")
     families = tuple(families)
     if not families:
-        raise ValueError("need at least one family")
+        raise Refused("need at least one family")
     for family in families:
         if family not in ALL_FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
+            raise Refused(f"unknown family {family!r}")
     _validate_tolerance(tol)
+    chains._validate_margin_tol(margin_tol)
 
     results = []
     streams = np.random.SeedSequence(seed).spawn(n_cases)
@@ -250,7 +252,7 @@ def sweep_results(
         case = generate_case(family, rng, seed=index)
         try:
             bracket = modulus_bracket(case.expression(), case.a, case.b)
-        except chains._REFUSALS:
+        except Refused:
             bracket = None
         proved = bracket is not None and bracket.status is CertStatus.CERTIFIED_POSITIVE
         c = bracket.c_lo * u if proved else None

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+from .expr import Refused
+
 __all__ = ["arithmetic_mean", "geometric_mean", "logarithmic_mean"]
 
 # Below this value of |ln(p/q)| the series branch is used.
@@ -26,7 +28,7 @@ _L_SERIES = (1.0, 1.0 / 2, 1.0 / 6, 1.0 / 24, 1.0 / 120, 1.0 / 720, 1.0 / 5040)
 
 def _require_positive(p: float, q: float, name: str) -> None:
     if not (p > 0.0 and q > 0.0 and math.isfinite(p) and math.isfinite(q)):
-        raise ValueError(f"{name} requires positive finite arguments, got {p!r} and {q!r}")
+        raise Refused(f"{name} requires positive finite arguments, got {p!r} and {q!r}")
 
 
 def arithmetic_mean(p: float, q: float) -> float:

@@ -18,7 +18,7 @@ row meets its own share (or roundoff floor).
 Four guards keep the refinement honest and bounded:
 
 * a panel whose K15 sum or error estimate is not finite (the integral
-  overflows; no split could accept it) raises a ValueError, not a warning;
+  overflows; no split could accept it) raises ``Refused``, not a warning;
 * a panel whose raw estimate is already below ~50 eps times the panel's
   absolute integral is roundoff-limited and is not split further
   (bisection cannot beat double precision);
@@ -26,7 +26,7 @@ Four guards keep the refinement honest and bounded:
   contribute their best estimate and the result reports converged=False
   whenever the summed estimate misses the tolerance;
 * a call that would evaluate more than ``EVALUATION_BUDGET`` abscissae is
-  refused with a ValueError before the chunk that would pass it, so no
+  refused with ``Refused`` before the chunk that would pass it, so no
   integrand buys unbounded time or memory below the depth cap.
 
 Accepted panels are summed in ascending abscissa order, whatever level
@@ -42,7 +42,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .expr import Expression
+from .expr import Expression, Refused
 
 __all__ = ["EVALUATION_BUDGET", "QuadratureResult", "IntegrandError", "integrate", "mean_integral"]
 
@@ -119,7 +119,7 @@ class QuadratureResult:
     converged: bool  # every row within its tolerance
 
 
-class IntegrandError(Exception):
+class IntegrandError(Refused):
     """The integrand produced a non-finite value; ``x`` is the abscissa."""
 
     def __init__(self, message: str, x: float):
@@ -131,9 +131,9 @@ def _validate_interval(a: float, b: float) -> Tuple[float, float]:
     """a and b as floats; refused unless a < b are finite and so is the width b - a."""
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
+        raise Refused(f"need a < b, got a={a!r}, b={b!r}")
     if not math.isfinite(b - a):
-        raise ValueError(f"need a finite width b - a, got a={a!r}, b={b!r}")
+        raise Refused(f"need a finite width b - a, got a={a!r}, b={b!r}")
     return a, b
 
 
@@ -141,9 +141,9 @@ def _validate_tolerance(tol) -> np.ndarray:
     """tol as a 1-D array of tolerances; refused unless each is positive and finite."""
     tols = np.array(tol, dtype=float, ndmin=1)
     if tols.size == 0:
-        raise ValueError(f"need at least one tolerance, got {tol!r}")
+        raise Refused(f"need at least one tolerance, got {tol!r}")
     if tols.ndim > 1 or not (tols.min() > 0.0 and np.isfinite(tols).all()):
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+        raise Refused(f"tolerance must be positive and finite, got {tol!r}")
     return tols
 
 
@@ -173,7 +173,7 @@ def _panels(g: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
         finite = np.isfinite(raw).reshape(-1, lo.size).all(axis=0)
         i = int(np.argmin(finite))
         if not finite[i]:  # else finite estimates overflowed only in their sum
-            raise ValueError(
+            raise Refused(
                 f"the integral overflows on the panel [{float(lo[i])!r}, {float(hi[i])!r}]: "
                 f"K15 sum {k15[..., i].tolist()!r}, error estimate {raw[..., i].tolist()!r}"
             )
@@ -195,10 +195,12 @@ def integrate(
     enough).  It may instead return a (k, n) array, one row per integrand;
     ``tol`` then holds k tolerances (or one for all rows), and ``value``
     and ``error_estimate`` of the result are arrays of k entries.  Raises
-    ValueError on an overflow, on more than ``EVALUATION_BUDGET``
-    evaluations, a tolerance refused by ``_validate_tolerance`` or an
-    interval refused by ``_validate_interval``, the rule of the certifier
-    and of every chain.
+    Refused on an overflow, on more than ``EVALUATION_BUDGET``
+    evaluations, a tolerance refused by ``_validate_tolerance``, a count of
+    tolerances that is neither 1 nor k, or an interval refused by
+    ``_validate_interval``, the rule of the certifier and of every chain.
+    An integrand that returns no value per abscissa raises a plain
+    ValueError: it is a defect of the caller, not a refused input.
     """
     a, b = _validate_interval(a, b)
     tols = _validate_tolerance(tol)
@@ -215,11 +217,14 @@ def integrate(
             lo, hi = los[start : start + _CHUNK_PANELS], his[start : start + _CHUNK_PANELS]
             evaluations += 15 * lo.size
             if evaluations > EVALUATION_BUDGET:
-                raise ValueError(
+                raise Refused(
                     f"integrating over [{a!r}, {b!r}] would take {evaluations} evaluations "
                     f"by depth {depth}, above the budget of {EVALUATION_BUDGET} evaluations"
                 )
             value, raw, floor = _panels(g, lo, hi)
+            # depth 0 is the one panel [a, b], so value holds one entry per row
+            if depth == 0 and tols.size not in (1, value.size):
+                raise Refused(f"{tols.size} tolerances for {value.size} integrand rows")
             done = np.logical_and.reduce((raw <= np.maximum(share, floor)).reshape(-1, lo.size))
             sums = np.array((value, np.maximum(raw, floor)))
             if depth >= max_depth or done.all():

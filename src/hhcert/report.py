@@ -14,13 +14,15 @@ import math
 from json.encoder import encode_basestring
 from typing import Any
 
+from .expr import Refused
+
 __all__ = ["format_float", "dumps_canonical"]
 
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         # Reports only ever carry finite numbers; fail loudly otherwise.
-        raise ValueError(f"refusing to serialize non-finite value {x!r}")
+        raise Refused(f"refusing to serialize non-finite value {x!r}")
     return format(x, ".17g")
 
 

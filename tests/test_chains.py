@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import warnings
@@ -22,7 +23,7 @@ from hhcert.chains import (
     theorem1_chain,
     theorem2_bound,
 )
-from hhcert.expr import DomainError, parse
+from hhcert.expr import DomainError, Refused, parse
 from hhcert.means import arithmetic_mean, logarithmic_mean
 from hhcert.quadrature import integrate
 
@@ -420,6 +421,24 @@ def test_maxc_serializes_f_at_most_once(monkeypatch):
     monkeypatch.setattr(hhcert.expr, "_text", counting_text)
     max_feasible_c(f, 0.0, 1.0)
     assert len(serializations) <= 1
+
+
+@pytest.mark.parametrize("margin_tol", [math.inf, math.nan, -1e-9, 0.0])
+def test_every_check_refuses_a_margin_tol_that_is_not_positive_and_finite(margin_tol):
+    # at inf the dm chain of log-concave exp(-x^2) once held, and nan or a
+    # negative tolerance once failed the chains of exp(x^2), which hold
+    checks = [
+        lambda f: classical_hh_terms(f, 0.0, 1.0, margin_tol=margin_tol),
+        lambda f: dragomir_mond_chain(f, 0.0, 1.0, margin_tol=margin_tol),
+        lambda f: theorem1_chain(f, 0.0, 1.0, 0.5, margin_tol=margin_tol),
+        lambda f: theorem2_bound(f, 0.0, 1.0, 0.5, margin_tol=margin_tol, form="both"),
+    ]
+    for f in (parse("exp(-x^2)"), EXP_X2):
+        for check in checks:
+            with pytest.raises(Refused, match=rf"^margin_tol must be positive and finite, "
+                                              rf"got {re.escape(repr(margin_tol))}$"):
+                check(f)
+    assert not dragomir_mond_chain(parse("exp(-x^2)"), 0.0, 1.0).holds
 
 
 def test_maxc_rejects_a_tolerance_that_bounds_nothing():

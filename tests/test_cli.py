@@ -1,6 +1,7 @@
 """CLI tests: exit codes, report formats, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hhcert import chains, harness
 from hhcert.certify import NotPositiveError
 from hhcert.chains import NotLogConvexError
 from hhcert.cli import _fmt, main
-from hhcert.expr import ParseError
+from hhcert.expr import ParseError, Refused
 from hhcert.quadrature import IntegrandError
 from hhcert.report import dumps_canonical
 
@@ -184,7 +185,7 @@ _REFUSALS = [
     NotPositiveError("refused"),
     NotLogConvexError("refused", report=None),
     IntegrandError("refused", x=0.5),
-    ValueError("refused"),
+    Refused("refused"),
 ]
 
 
@@ -200,6 +201,37 @@ def test_a_sweep_case_and_the_cli_refuse_the_same_errors(capsys, monkeypatch, er
     code, out, err = run(capsys, "chain", "--f", "exp(x^2)", "--a", "0", "--b", "1",
                          "--which", "dm")
     assert (code, out) == (2, "") and err.startswith("error: refused")
+
+
+def test_an_internal_error_is_raised_by_a_sweep_and_exits_three(capsys, monkeypatch):
+    # a ValueError that no input check raised is a defect: bare ValueError was
+    # once a refusal, so the sweep tallied such a case not_applicable and the
+    # CLI exited 2 as if the input were refused
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(chains, "_means", broken)
+    with pytest.raises(ValueError, match="could not be broadcast") as raised:
+        harness.sweep(3, ("exp_quadratic",), seed=3)
+    assert not isinstance(raised.value, Refused)
+    code, out, err = run(capsys, "chain", "--f", "exp(x^2)", "--a", "0", "--b", "1",
+                         "--which", "dm")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback") and "could not be broadcast" in err
+
+
+def test_maxc_whose_root_fails_the_chain_beyond_rounding_exits_three(capsys, monkeypatch):
+    # the ArithmeticError of max_feasible_c is a defect, not a violation (1)
+    real = chains.theorem1_chain
+
+    def failing_above_zero(f, a, b, c, *args, **kwargs):
+        report = real(f, a, b, c, *args, **kwargs)
+        return report if c == 0.0 else dataclasses.replace(report, holds=False)
+
+    monkeypatch.setattr(chains, "theorem1_chain", failing_above_zero)
+    code, out, err = run(capsys, "maxc", "--f", "exp(x^2)", "--a", "0", "--b", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback") and "fails the chain beyond rounding" in err
 
 
 def test_a_negative_value_may_use_exponent_notation(capsys):

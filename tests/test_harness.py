@@ -7,6 +7,7 @@ import pytest
 
 from hhcert import chains, harness
 from hhcert.certify import CertStatus, ModulusBracket
+from hhcert.expr import Refused
 from hhcert.harness import (
     ALL_FAMILIES,
     CHAIN_KINDS,
@@ -282,7 +283,7 @@ def test_a_case_whose_bracket_is_refused_gets_no_modulus(monkeypatch):
     # a refusal from the bracket is recorded as no bracket, not a sweep error,
     # and the checks that need no modulus are still judged
     def refused(f, a, b):
-        raise ValueError("refused")
+        raise Refused("refused")
 
     monkeypatch.setattr(harness, "modulus_bracket", refused)
     (result,) = harness.sweep_results(1, ("exp_quadratic",), seed=3)
@@ -340,6 +341,18 @@ def test_a_sweep_refuses_its_tolerance_before_drawing_a_case(monkeypatch):
     monkeypatch.setattr(harness, "generate_case", draw)
     with pytest.raises(ValueError, match="tolerance must be positive and finite"):
         sweep(3, tol=0.0)
+
+
+@pytest.mark.parametrize("margin_tol", [math.inf, math.nan, -1e-9, 0.0])
+def test_a_sweep_refuses_its_margin_tol_before_drawing_a_case(monkeypatch, margin_tol):
+    # an infinite margin_tol once tallied 0 Dragomir-Mond violations where the
+    # default tallies 6, and nan or a negative one fails chains that hold
+    def draw(*args, **kwargs):
+        raise AssertionError("a case was drawn")
+
+    monkeypatch.setattr(harness, "generate_case", draw)
+    with pytest.raises(Refused, match=r"^margin_tol must be positive and finite, got "):
+        sweep(30, seed=5, margin_tol=margin_tol)
 
 
 def test_a_sweep_refuses_a_negative_seed_by_name_before_drawing_a_case(monkeypatch):

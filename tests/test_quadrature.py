@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hhcert import quadrature
-from hhcert.expr import DomainError, parse
+from hhcert.expr import DomainError, Refused, parse
 from hhcert.quadrature import IntegrandError, QuadratureResult, integrate, mean_integral
 
 
@@ -200,6 +200,19 @@ def test_an_empty_tolerance_array_is_refused_by_name():
     # numpy once refused it as a zero-size array in a reduction
     with pytest.raises(ValueError, match=r"^need at least one tolerance, got \[\]$"):
         integrate(lambda xs: xs, 0.0, 1.0, tol=[])
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_a_tolerance_count_that_matches_no_row_count_is_refused_by_name(rows):
+    # three rows with two tolerances once failed in a numpy broadcast, and
+    # one row with two was silently accepted
+    def g(xs):
+        return xs if rows == 1 else np.array([xs] * rows)
+
+    with pytest.raises(Refused, match=rf"^2 tolerances for {rows} integrand rows$"):
+        integrate(g, 0.0, 1.0, tol=[1e-10, 1e-10])
+    assert integrate(g, 0.0, 1.0, tol=[1e-10] * rows).converged
+    assert integrate(g, 0.0, 1.0, tol=[1e-10]).converged
 
 
 def test_scalar_returning_integrand_is_rejected():
