@@ -23,15 +23,14 @@ which keeps the cancellation structural: for constant f the grouped log
 differences are exactly zero, so the sampled defect is exactly 0.0 rather
 than rounding noise amplified by 1/(lam*(1-lam)*(x-y)^2).
 
-The grid is walked in tiles of 65,536 triples, so each float64 buffer of
-the ratio kernel is 0.5 MB and the working set stays in a per-core L2
-cache; tiles split the y grid once one x-row outgrows a tile, so memory is
-flat at any grid size.  What the tiles share is done once per grid: lam
-is clipped to (0, 1) (only the ends of a clipped refinement grid can
-leave it), and f is evaluated on xs and ys in one call.  Each tile
-evaluates f once on its interior points and reads positivity off the
-finiteness of the ln f(T) the ratios need anyway; the precise error for
-the first offender is computed only on failure.  Time grows as N^3 in the
+The grid is walked in chunks of at most 65,536 triples, whole (x, y)
+pairs in C order that may end mid-row, so each float64 buffer is 0.5 MB,
+the working set stays in a per-core L2 cache and memory is flat at any
+grid size.  Once per grid, lam is clipped to (0, 1) and f is evaluated on
+xs and ys in one call; each chunk evaluates f once on its interior
+points.  Positivity is read off the finiteness of the ln f values the
+ratios need anyway; the precise error for the first offender is computed
+only on failure.  Time grows as N^3 in the
 grid size N, so a call whose grids would sample more than TRIPLE_BUDGET
 triples is refused with ``Refused`` before the first grid; each grid
 counts as at least 2**13 triples, the cost of its fixed work.  The budget
@@ -68,7 +67,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -208,29 +207,25 @@ def _check_denominators(
     )
 
 
-class _GridPass(NamedTuple):
-    """What every tile of the grid xs x ys x lams shares, computed once per grid."""
+def _defect_chunks(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray):
+    """Defect ratios over xs x ys x lams, one chunk of (x, y) pairs at a time.
 
-    xs: np.ndarray
-    ys: np.ndarray
-    n_lams: int  # size of the lam grid before clipping, which errors name
-    lams: np.ndarray  # the lam in (0, 1)
-    mu: np.ndarray  # 1 - lam
-    lam_mu: np.ndarray  # lam * (1 - lam)
-    lfx: np.ndarray  # ln f over xs
-    lfy: np.ndarray  # ln f over ys
-    threshold: float  # pairs with |x - y| at or below it are skipped
+    Yields (x, y, lams, ratios) per chunk: its pairs, taken in C order over
+    xs x ys, the admissible lam and a row of ratios per pair, +inf where the
+    pair is skipped.  Only the ends of a clipped refinement grid leave
+    (0, 1), so the inadmissible lam are dropped once per grid.  A pair is
+    skipped when |x - y| is below half the coarser grid spacing: refined x
+    and y boxes have incommensurate spacings, and such a near-coincidence
+    sits below the grids' own resolution, where the ratio's numerator
+    cancels to under one ulp of f and the sample carries no information.
 
-
-def _grid_pass(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> _GridPass:
-    """Keep the admissible lam and evaluate f on xs and ys.
-
-    Only the ends of a clipped refinement grid can leave (0, 1), and their
-    triples are inadmissible, so they are dropped here once instead of being
-    computed and masked in every tile.  f is evaluated on xs and ys in one
-    call (on xs alone when ys is xs).  Callers ignore floating-point errors.
+    A chunk holds at most _TILE_TRIPLES triples and at least one pair, and
+    is computed in three buffers that every chunk reuses, so ``ratios`` is
+    valid only until the next.  Each step is the same ufunc on the same
+    operands as the defect formula written out in full, so the bits do not
+    depend on the chunking.  Callers ignore floating-point errors.
     """
-    n_lams = lams.size
+    n_lams = lams.size  # the size before clipping, which errors name
     mu = 1.0 - lams
     lam_mu = lams * mu
     # lam*(1-lam) > 0 exactly when 0 < lam < 1: inside, 1-lam is at least
@@ -241,77 +236,51 @@ def _grid_pass(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) 
     pts = xs if ys is xs else np.concatenate((xs, ys))
     lf = np.log(f.eval_array(pts))
     # |ln v| < 745 for every positive double, so the sum is finite exactly
-    # when f is finite and positive at every point; only a failure pays for
-    # locating the first offender
+    # when f is finite and positive at every point
     if not math.isfinite(lf.sum()):
         _positive_values(f, xs)
         _positive_values(f, ys)
-    threshold = 0.49 * max(_spacing(xs), _spacing(ys))
     lfx, lfy = lf[: xs.size], lf[pts.size - ys.size :]
-    return _GridPass(xs, ys, n_lams, lams, mu, lam_mu, lfx, lfy, threshold)
+    threshold = 0.49 * max(_spacing(xs), _spacing(ys))
+    # the two terms of t = lam*x + (1-lam)*y, once per grid
+    lam_x, mu_y = lams * xs[:, None], mu * ys[:, None]
+    n_pairs = xs.size * ys.size
+    step = max(1, _TILE_TRIPLES // lams.size)
+    bufs = np.empty((3, min(step, n_pairs) * lams.size))
+    for start in range(0, n_pairs, step):
+        i, j = np.divmod(np.arange(start, min(start + step, n_pairs)), ys.size)
+        t, work, ratios = bufs[:, : i.size * lams.size].reshape(3, i.size, lams.size)
+        # the indices are in range; "clip" spares take its buffered copy
+        np.take(lam_x, i, axis=0, out=t, mode="clip")
+        np.take(mu_y, j, axis=0, out=work, mode="clip")
+        t += work
+        fT = f.eval_array(t)  # may be t itself (f = x), so t is not reused below
+        np.log(fT, out=work)
+        if not math.isfinite(work.sum()):
+            _positive_values(f, t)
+        x, y = xs[i], ys[j]
+        diff = x - y
+        pair_ok = np.abs(diff) > threshold
+        sq = diff**2
+        _check_denominators(sq[pair_ok], lam_mu, xs, ys, n_lams)
+        np.subtract(lfx[i, None], work, out=ratios)
+        ratios *= lams
+        np.subtract(lfy[j, None], work, out=work)
+        work *= mu
+        ratios += work
+        np.expm1(ratios, out=ratios)
+        ratios *= fT
+        del fT  # so the next chunk's evaluation reuses its memory
+        np.multiply(lam_mu, sq[:, None], out=work)
+        ratios /= work
+        ratios[~pair_ok] = np.inf
+        yield x, y, lams, ratios
 
 
-def _defect_tile(f: Expression, g: _GridPass, rows: slice, cols: slice, bufs: np.ndarray) -> np.ndarray:
-    """Defect ratios over the tile xs[rows] x ys[cols] x lams; skipped pairs are +inf.
-
-    ``g`` holds the grid's admissible lam only.  A pair is skipped when
-    |x - y| is below half the coarser grid spacing.  That generalizes
-    skipping the x == y diagonal: refined x and y boxes have incommensurate
-    spacings, and an accidental near-coincidence sits below the grids' own
-    resolution, where the ratio's numerator cancels to under one ulp of f and
-    the sample carries no information.
-
-    f is evaluated once on the tile's interior points, and its positivity is
-    read off the finiteness of the ln f(T) the ratios need anyway.  The
-    ratios are computed in the three rows of ``bufs``, each at least a tile
-    long; the returned array is a view into the last.  Each step is the same
-    ufunc on the same operands as the defect formula written out in full, so
-    the bits do not depend on the tiling.  Callers ignore floating-point
-    errors.
-    """
-    X = g.xs[rows, None, None]
-    Y = g.ys[None, cols, None]
-    shape = (X.shape[0], Y.shape[1], g.lams.size)
-    t, work, defect = bufs[:, : math.prod(shape)].reshape(3, *shape)
-    np.add(g.lams * X, g.mu * Y, out=t)
-    fT = f.eval_array(t)  # may be t itself (f = x), so t is not reused below
-    np.log(fT, out=work)
-    if not math.isfinite(work.sum()):  # as in _grid_pass
-        _positive_values(f, t)
-    diff = X - Y
-    pair_ok = np.abs(diff) > g.threshold
-    sq = diff**2
-    _check_denominators(sq[pair_ok], g.lam_mu, g.xs, g.ys, g.n_lams)
-    np.subtract(g.lfx[rows, None, None], work, out=defect)
-    defect *= g.lams
-    np.subtract(g.lfy[None, cols, None], work, out=work)
-    work *= g.mu
-    defect += work
-    np.expm1(defect, out=defect)
-    defect *= fT
-    np.multiply(g.lam_mu, sq, out=work)
-    defect /= work
-    if not pair_ok.all():
-        np.copyto(defect, np.inf, where=~pair_ok)
-    return defect
-
-
-def _grid_min(defects: np.ndarray, xs, ys, lams) -> tuple:
-    # Flat C-order argmin returns the first minimum, i.e. the smallest
-    # (x, y, lam) lexicographically over the ascending grids.
-    _, n_y, n_lam = defects.shape
-    i, rest = divmod(int(defects.argmin()), n_y * n_lam)
-    j, k = divmod(rest, n_lam)
-    return float(defects[i, j, k]), (float(xs[i]), float(ys[j]), float(lams[k]))
-
-
-# Triples per tile of the grid walk.  At 65,536 triples each float64 tile
-# buffer is 0.5 MB, so the kernel's three buffers and the evaluator's
-# temporaries stay in a 2 MB per-core L2 cache, where one block of up to 2M
-# triples streamed 16 MB temporaries through memory.  A tile is a block of
-# whole x-rows or, once one x-row alone holds more than a tile (grids past
-# 256 points), a block of y-columns within one x-row, so memory stays flat
-# at any grid size.
+# Triples per chunk of the grid walk: each float64 chunk buffer is 0.5 MB,
+# so the three buffers and the evaluator's temporaries stay in a 2 MB
+# per-core L2 cache, where one block of up to 2M triples streamed 16 MB
+# temporaries through memory.
 _TILE_TRIPLES = 65_536
 
 # Most (x, y, lam) triples one estimate_modulus or check_modulus call may
@@ -337,25 +306,16 @@ def _check_budget(grid_n: int, grids: int) -> None:
 def _min_over_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> tuple:
     """Smallest defect ratio over xs x ys x lams and the (x, y, lam) attaining it.
 
-    Tiles are visited in (x, y) order and the strict < keeps the earliest
-    tile on ties, so the result is bitwise the one full-grid ``_grid_min``
-    would report.
+    Each chunk's C-order argmin is its first minimum and the strict < keeps
+    the earliest chunk on ties, so the witness is the lexicographically
+    first minimizer over the ascending grids, at any chunk size.
     """
+    best, witness = np.inf, None
     with np.errstate(all="ignore"):
-        g = _grid_pass(f, xs, ys, lams)
-        n_lam = g.lams.size
-        per_row = ys.size * n_lam
-        rows = min(xs.size, max(1, _TILE_TRIPLES // per_row))
-        cols = ys.size if per_row <= _TILE_TRIPLES else max(1, _TILE_TRIPLES // n_lam)
-        bufs = np.empty((3, rows * cols * n_lam))
-        best, witness = np.inf, None
-        for i in range(0, xs.size, rows):
-            for j in range(0, ys.size, cols):
-                tile_rows, tile_cols = slice(i, i + rows), slice(j, j + cols)
-                defects = _defect_tile(f, g, tile_rows, tile_cols, bufs)
-                value, candidate = _grid_min(defects, xs[tile_rows], ys[tile_cols], g.lams)
-                if witness is None or value < best:
-                    best, witness = value, candidate
+        for x, y, kept, ratios in _defect_chunks(f, xs, ys, lams):
+            p, k = divmod(int(ratios.argmin()), kept.size)
+            if witness is None or ratios[p, k] < best:
+                best, witness = float(ratios[p, k]), (float(x[p]), float(y[p]), float(kept[k]))
     return best, witness
 
 

@@ -178,7 +178,11 @@ def run_case(
     a sweep passes c = c_lo * u for a case whose bracket proves a positive
     modulus, and tests may force any c, including infeasible ones.
     ``bracket`` is only recorded in the result, as the proof c rests on.
+    A tolerance or margin_tol that every check would refuse is refused
+    here, not recorded as the case's not_applicable outcomes.
     """
+    _validate_tolerance(tol)
+    chains._validate_margin_tol(margin_tol)
     outcomes: Dict[str, str] = {kind: NOT_APPLICABLE for kind in CHAIN_KINDS}
     margins: Dict[str, Optional[float]] = {kind: None for kind in CHAIN_KINDS}
     pairs: Dict[str, Optional[Tuple[str, str]]] = {kind: None for kind in CHAIN_KINDS}
@@ -244,9 +248,10 @@ def sweep_results(
     chains._validate_margin_tol(margin_tol)
 
     results = []
-    streams = np.random.SeedSequence(seed).spawn(n_cases)
     for index in range(n_cases):
-        rng = np.random.default_rng(streams[index])
+        # child i of SeedSequence(seed).spawn, built on its own so that the
+        # sweep never holds the streams of every case at once
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
         family = families[int(rng.integers(len(families)))] if len(families) > 1 else families[0]
         u = 1.0 - float(rng.random())  # in (0, 1]
         case = generate_case(family, rng, seed=index)

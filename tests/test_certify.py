@@ -16,7 +16,7 @@ from hhcert.certify import (
     log_defect,
     modulus_bracket,
     _check_denominators,
-    _grid_min,
+    _defect_chunks,
     _min_over_grid,
     _positive_values,
     _spacing,
@@ -37,8 +37,8 @@ PEAK = parse("exp(-(x - 0.4)^2)")
 def _defect_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Defect ratios over the whole grid xs x ys x lams in one pass; invalid triples are +inf.
 
-    The reference the tiled walk is tested against.  Invalid means lam
-    outside the open unit interval or a pair skipped as in ``_defect_tile``.
+    The reference the chunked walk is tested against.  Invalid means lam
+    outside the open unit interval or a pair skipped as in ``_defect_chunks``.
     Every lam is computed, 0 and 1 included, and the invalid triples are
     masked afterwards; f is checked with ``_positive_values`` on each point
     set, so no clipping or positivity shortcut of the walk is shared.
@@ -73,6 +73,18 @@ def _defect_grid(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarray
     np.copyto(defect, np.inf, where=~pair_ok)
     np.copyto(defect, np.inf, where=~lam_ok)
     return defect
+
+
+def _grid_min(defects: np.ndarray, xs, ys, lams) -> tuple:
+    """The minimum of a full grid of defects, and its first (x, y, lam) in C order.
+
+    Flat C-order argmin returns the first minimum, i.e. the smallest
+    (x, y, lam) lexicographically over the ascending grids.
+    """
+    _, n_y, n_lam = defects.shape
+    i, rest = divmod(int(defects.argmin()), n_y * n_lam)
+    j, k = divmod(rest, n_lam)
+    return float(defects[i, j, k]), (float(xs[i]), float(ys[j]), float(lams[k]))
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +198,7 @@ def test_exp_x2_certifies_strictly_positive():
 
 @pytest.mark.parametrize("f", [EXP_X2, ONE, POWER], ids=["exp_x2", "one", "power"])
 def test_defect_grid_is_the_written_out_formula_bit_for_bit(f):
-    # the kernel writes into reused buffers, but each step must stay the same
+    # the walk writes into reused buffers, but each step must stay the same
     # ufunc on the same grouping: the grouped log differences are what make
     # constants certify exactly 0
     xs = np.linspace(0.0, 1.0, 24)
@@ -222,21 +234,22 @@ def test_exp_x2_against_dense_brute_force_oracle():
     assert cert.c_star <= dense_min + 1e-6
 
 
-@pytest.mark.parametrize("tile", [20_000, 1_000], ids=["x_rows", "y_columns"])
+@pytest.mark.parametrize("chunk", [20_000, 1_000], ids=["x_rows", "y_columns"])
 @pytest.mark.parametrize("f", [EXP_X2, ONE, POWER], ids=["exp_x2", "one", "power"])
-def test_chunked_grid_walk_matches_single_pass(monkeypatch, f, tile):
-    # the grid is walked in tiles of whole x-rows, or of y-columns within one
-    # x-row once a row outgrows a tile; the walk must be bitwise identical to
-    # one full pass, including the witness tie-break (every defect of ONE is
-    # exactly 0, so its witness is the first valid triple of the whole grid)
+def test_chunked_grid_walk_matches_single_pass(monkeypatch, f, chunk):
+    # the grid is walked in chunks of (x, y) pairs: 416 pairs, several x-rows
+    # ending mid-row, or 20, shorter than one x-row.  The walk must be
+    # bitwise identical to one full pass, including the witness tie-break
+    # (every defect of ONE is exactly 0, so its witness is the first valid
+    # triple of the whole grid)
     import hhcert.certify as certify_module
 
     xs = np.linspace(0.0, 1.0, 48)
     lams = np.arange(1, 49, dtype=float) / 49.0
-    reference = certify_module._grid_min(_defect_grid(f, xs, xs, lams), xs, xs, lams)
+    reference = _grid_min(_defect_grid(f, xs, xs, lams), xs, xs, lams)
     cert = estimate_modulus(f, 0.0, 1.0, grid_n=48, refine_rounds=2)
     check = check_modulus(f, 0.0, 1.0, 0.5, grid_n=48)
-    monkeypatch.setattr(certify_module, "_TILE_TRIPLES", tile)
+    monkeypatch.setattr(certify_module, "_TILE_TRIPLES", chunk)
     assert certify_module._min_over_grid(f, xs, xs, lams) == reference
     assert estimate_modulus(f, 0.0, 1.0, grid_n=48, refine_rounds=2) == cert
     assert check_modulus(f, 0.0, 1.0, 0.5, grid_n=48) == check
@@ -246,27 +259,31 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-def _tiled_defects(monkeypatch, f, xs, ys, lams, tile):
-    """Run the walk and stitch its tiles back into one array over the admissible lam."""
+def _chunked_defects(monkeypatch, f, xs, ys, lams, chunk):
+    """Walk the grid and stitch its chunks back into one array over the admissible lam."""
     import hhcert.certify as certify_module
 
     inner = (lams > 0.0) & (lams < 1.0)
-    stitched = np.full((xs.size, ys.size, int(inner.sum())), np.nan)
-    kernel = certify_module._defect_tile
-
-    def recording_kernel(f, g, rows, cols, bufs):
-        defects = kernel(f, g, rows, cols, bufs)
-        stitched[rows, cols] = defects
-        return defects
-
-    monkeypatch.setattr(certify_module, "_TILE_TRIPLES", tile)
-    monkeypatch.setattr(certify_module, "_defect_tile", recording_kernel)
+    stitched = np.full((xs.size * ys.size, int(inner.sum())), np.nan)
+    monkeypatch.setattr(certify_module, "_TILE_TRIPLES", chunk)
+    start = 0
+    with np.errstate(all="ignore"):
+        for x, y, kept, ratios in _defect_chunks(f, xs, ys, lams):
+            assert np.array_equal(kept, lams[inner])
+            pairs = slice(start, start + x.size)
+            assert np.array_equal(x, np.repeat(xs, ys.size)[pairs])
+            assert np.array_equal(y, np.tile(ys, xs.size)[pairs])
+            stitched[pairs] = ratios
+            start += x.size
+    assert start == xs.size * ys.size
     result = _min_over_grid(f, xs, ys, lams)
     monkeypatch.undo()
-    return result, stitched, inner
+    return result, stitched.reshape(xs.size, ys.size, -1), inner
 
 
-@pytest.mark.parametrize("tile", [65_536, 2_000, 100], ids=["one_tile", "x_rows", "y_columns"])
+@pytest.mark.parametrize(
+    "chunk", [65_536, 2_000, 100, 10], ids=["one_tile", "x_rows", "y_columns", "one_pair"]
+)
 @pytest.mark.parametrize("f", [EXP_X2, ONE, POWER], ids=["exp_x2", "one", "power"])
 @pytest.mark.parametrize(
     "box",
@@ -280,14 +297,17 @@ def _tiled_defects(monkeypatch, f, xs, ys, lams, tile):
     ],
     ids=["lam_0_and_1", "lam_0", "lam_1"],
 )
-def test_lam_clipped_walk_matches_the_full_grid_bit_for_bit(monkeypatch, f, tile, box):
+def test_lam_clipped_walk_matches_the_full_grid_bit_for_bit(monkeypatch, f, chunk, box):
     # the walk drops lam = 0 and 1 once per grid instead of masking them in
-    # every tile; every admissible ratio, the minimum and its witness must be
-    # those of the full-grid reference, whose dropped columns are all +inf
+    # every chunk; every admissible ratio, the minimum and its witness must be
+    # those of the full-grid reference, whose dropped columns are all +inf.
+    # Chunks of 2,000 triples hold several x-rows and end mid-row, chunks of
+    # 100 are shorter than one x-row, and a chunk of 10 triples, fewer than
+    # one pair has, is one pair
     (x0, x1), (y0, y1), (l0, l1) = box
     xs, ys, lams = np.linspace(x0, x1, 17), np.linspace(y0, y1, 16), np.linspace(l0, l1, 16)
     reference = _defect_grid(f, xs, ys, lams)
-    result, stitched, inner = _tiled_defects(monkeypatch, f, xs, ys, lams, tile)
+    result, stitched, inner = _chunked_defects(monkeypatch, f, xs, ys, lams, chunk)
     assert not inner.all()
     assert np.all(reference[:, :, ~inner] == np.inf)
     assert np.array_equal(_bits(stitched), _bits(reference[:, :, inner]))
@@ -313,8 +333,8 @@ def _evaluator_calls(monkeypatch, run) -> tuple:
 
 
 def test_one_evaluator_call_per_grid_and_per_tile(monkeypatch):
-    # grid 16 is one tile per round: f on xs, then f on each tile's interior
-    # points for the first grid; f on xs and ys together, then on the tile,
+    # grid 16 is one chunk per round: f on xs, then f on the chunk's interior
+    # points for the first grid; f on xs and ys together, then on the chunk,
     # for each of the three refinement rounds, which an open bracket runs
     _force_open(monkeypatch)
     _, calls = _evaluator_calls(
@@ -323,21 +343,22 @@ def test_one_evaluator_call_per_grid_and_per_tile(monkeypatch):
     assert calls[0] == 16 and calls[2::2] == [32, 32, 32]  # xs and ys together
 
 
-def _tiles(monkeypatch, run) -> tuple:
-    """What ``run()`` returns, and the number of grid tiles it walks."""
+def _chunk_sizes(monkeypatch, run) -> tuple:
+    """What ``run()`` returns, and the triples of each grid chunk it walks."""
     import hhcert.certify as certify_module
 
-    kernel = certify_module._defect_tile
-    tiles = []
+    walk = certify_module._defect_chunks
+    sizes = []
 
-    def counting_kernel(*args):
-        tiles.append(1)
-        return kernel(*args)
+    def recording_walk(*args):
+        for chunk in walk(*args):
+            sizes.append(chunk[-1].size)
+            yield chunk
 
     with monkeypatch.context() as m:
-        m.setattr(certify_module, "_defect_tile", counting_kernel)
+        m.setattr(certify_module, "_defect_chunks", recording_walk)
         result = run()
-    return result, len(tiles)
+    return result, sizes
 
 
 def _open_bracket(f, a, b):
@@ -382,12 +403,12 @@ def test_a_bracket_settled_modulus_samples_no_grid(monkeypatch, f):
     # c_lo > 0 (exp(x^2)), c_lo = c_up = 0 (exp(0.7*x - 0.3)) or c_up < 0
     # (exp(-x^2)) settles the status, so neither the first grid nor a round
     # is walked, and f is never evaluated on a grid
-    cert, tiles = _tiles(monkeypatch, lambda: estimate_modulus(f, 0.0, 1.0, 64, 3))
-    assert tiles == 0 and cert.refinement_rounds == 0 and cert.grid_size == 64
+    cert, chunks = _chunk_sizes(monkeypatch, lambda: estimate_modulus(f, 0.0, 1.0, 64, 3))
+    assert chunks == [] and cert.refinement_rounds == 0 and cert.grid_size == 64
     _, calls = _evaluator_calls(monkeypatch, lambda: estimate_modulus(f, 0.0, 1.0, 64, 3))
     assert calls == []
-    check, tiles = _tiles(monkeypatch, lambda: check_modulus(f, 0.0, 1.0, 0.5, grid_n=64))
-    assert tiles == 0 and check.defect == cert.c_star and check.witness == cert.witness
+    check, chunks = _chunk_sizes(monkeypatch, lambda: check_modulus(f, 0.0, 1.0, 0.5, grid_n=64))
+    assert chunks == [] and check.defect == cert.c_star and check.witness == cert.witness
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 3])
@@ -695,32 +716,91 @@ def test_the_budget_spares_a_bracket_settled_modulus(monkeypatch, f, c_star_hex)
         lambda: estimate_modulus(f, 0.0, 1.0, grid_n=2000),
         lambda: estimate_modulus(f, 0.0, 1.0, grid_n=3, refine_rounds=10**6),
     ]:
-        cert, tiles = _tiles(monkeypatch, run)
-        assert tiles == 0 and cert.refinement_rounds == 0
+        cert, chunks = _chunk_sizes(monkeypatch, run)
+        assert chunks == [] and cert.refinement_rounds == 0
         assert (cert.c_star.hex(), cert.status) == (c_star_hex, default.status)
-    check, tiles = _tiles(monkeypatch, lambda: check_modulus(f, 0.0, 1.0, 0.5, grid_n=646))
-    assert tiles == 0 and check.defect.hex() == c_star_hex
+    check, chunks = _chunk_sizes(monkeypatch, lambda: check_modulus(f, 0.0, 1.0, 0.5, grid_n=646))
+    assert chunks == [] and check.defect.hex() == c_star_hex
 
 
 def test_tiles_stay_small_at_any_grid_size(monkeypatch):
-    # one x-row of a 300-point grid holds 90,000 triples, more than a tile, so
-    # the walk splits ys too and memory stays flat
+    # one x-row of a 300-point grid holds 90,000 triples, more than a chunk,
+    # so chunks end in the middle of x-rows and memory stays flat
     import hhcert.certify as certify_module
 
-    sizes = []
-    kernel = certify_module._defect_tile
-
-    def recording_kernel(*args):
-        defects = kernel(*args)
-        sizes.append(defects.size)
-        return defects
-
-    monkeypatch.setattr(certify_module, "_defect_tile", recording_kernel)
     _force_open(monkeypatch)
     n = 300
-    check_modulus(EXP_MINUS_X2, 0.0, 1.0, 0.5, grid_n=n)
+    _, sizes = _chunk_sizes(monkeypatch, lambda: check_modulus(EXP_MINUS_X2, 0.0, 1.0, 0.5, grid_n=n))
     assert sum(sizes) == n**3
     assert max(sizes) <= max(certify_module._TILE_TRIPLES, n)
+
+
+# Forced-open certificates at grids 16 and 64 with 3 rounds, as (status,
+# c_star, witness), and check_modulus at grid 300 as (ok, defect, witness),
+# in float.hex.  At grid 300 a chunk of the walk ends in the middle of an
+# x-row.  Forcing the bracket open keeps later bracket proofs (items 3, 9
+# and 12) from moving these bits
+_OPEN_PINS = [
+    ("exp(x^2)", 0.0, 1.0, [
+        ("certified_positive", "0x1.000000f522325p+0",
+         ("0x1.3b9fe6983d5e9p-8", "0x0.0p+0", "0x1.3b78e98d646ebp-8")),
+        ("certified_positive", "0x1.fffffe5c7db11p-1",
+         ("0x0.0p+0", "0x1.0c99246538d91p-10", "0x1.ff79b37e94990p-1")),
+        (True, "0x1.000000580a14ep+0",
+         ("0x0.0p+0", "0x1.b65e2e3beee05p-9", "0x1.fe4c8b7b527f9p-1")),
+    ]),
+    ("exp(-(x - 0.4)^2)", 0.0, 1.0, [
+        ("not_log_convex", "-0x1.fffe91c1902abp-1",
+         ("0x1.9555555555556p-2", "0x1.9dddddddddddep-2", "0x1.81e1e1e1e1e1ep-1")),
+        ("not_log_convex", "-0x1.ffffff71a9fd4p-1",
+         ("0x1.9965965965965p-2", "0x1.9b6db6db6db6cp-2", "0x1.ff75344713ae3p-1")),
+        (False, "-0x1.ffffd4d67ec58p-1",
+         ("0x1.978b8efbb8149p-2", "0x1.9af84b582ff25p-2", "0x1.322ded49fe4c9p-2")),
+    ]),
+    ("exp(-abs(x))", -1.0, 1.0, [
+        ("not_log_convex", "-0x1.ddc536a6d348ep+6",
+         ("-0x1.1111111111110p-7", "0x1.1111111111110p-7", "0x1.ffbfbfbfbfbfcp-2")),
+        ("not_log_convex", "-0x1.f6bf636263295p+8",
+         ("-0x1.0410410410500p-9", "0x1.0410410410320p-9", "0x1.ff3bf3bf3bf3cp-2")),
+        (False, "-0x1.2982af8539237p+8",
+         ("-0x1.b65e2e3beee00p-9", "0x1.b65e2e3beee00p-9", "0x1.fe4c8b7b527f9p-2")),
+    ]),
+    ("x^-2+1", 0.5, 2.0, [
+        ("certified_positive", "0x1.4e285a9be673cp-3",
+         ("0x1.fe2690261ba3fp+0", "0x1.0000000000000p+1", "0x1.3b78e98d646ebp-8")),
+        ("certified_positive", "0x1.4d162bc1d90d1p-3",
+         ("0x1.0000000000000p+1", "0x1.ff9b46925a0abp+0", "0x1.ff79b37e94990p-1")),
+        (False, "0x1.4dbd66958a487p-3",
+         ("0x1.feb7395d530cep+0", "0x1.0000000000000p+1", "0x1.b37484ad806cep-9")),
+    ]),
+    ("ln(exp(x))/x", 0.1, 1.0, [
+        ("not_log_convex", "-0x1.17693532bdf30p-25",
+         ("0x1.4c8490946712dp-3", "0x1.476f2a5a469d7p-3", "0x1.477740a3a0366p-8")),
+        ("not_log_convex", "-0x1.ce0297bf6a35ep-22",
+         ("0x1.5931931931930p-3", "0x1.55f15f15f15f2p-3", "0x1.ff79b37e94990p-1")),
+        (False, "-0x1.5c4cc58ee172ap-25",
+         ("0x1.e39317cd504f8p-4", "0x1.d73ed81a07313p-4", "0x1.b37484ad806cep-9")),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, a, b, pins", _OPEN_PINS,
+    ids=["exp_x2", "peak", "exp_minus_abs", "inverse_square", "ln_exp_over_x"],
+)
+def test_forced_open_certificates_are_pinned_bit_for_bit(monkeypatch, text, a, b, pins):
+    # the grid walk decides each of these; no rewrite of the walk may move a bit
+    f = parse(text)
+    _force_open(monkeypatch)
+    for grid_n, (status, c_star_hex, witness_hex) in zip((16, 64), pins):
+        cert = estimate_modulus(f, a, b, grid_n, 3)
+        assert (cert.status.value, cert.c_star.hex()) == (status, c_star_hex)
+        assert tuple(v.hex() for v in cert.witness) == witness_hex
+        assert cert.refinement_rounds == 3 and cert.grid_size == grid_n
+    ok, defect_hex, witness_hex = pins[2]
+    check = check_modulus(f, a, b, 0.5, grid_n=300)
+    assert (check.ok, check.defect.hex()) == (ok, defect_hex)
+    assert tuple(v.hex() for v in check.witness) == witness_hex
 
 
 def test_equal_minima_pick_the_lexicographically_first_witness(monkeypatch):

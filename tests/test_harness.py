@@ -363,3 +363,24 @@ def test_a_sweep_refuses_a_negative_seed_by_name_before_drawing_a_case(monkeypat
     monkeypatch.setattr(harness, "generate_case", draw)
     with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
         sweep(3, seed=-1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1e-9])
+@pytest.mark.parametrize("name", ["tol", "margin_tol"])
+def test_run_case_refuses_its_own_tolerances(name, bad):
+    # each check refuses such a tolerance, and run_case once recorded that
+    # refusal as the case's, tallying all four kinds not_applicable
+    case = CaseSpec("custom", (), 0.0, 1.0, 0, "exp(x^2)")
+    with pytest.raises(Refused, match=r"^(tolerance|margin_tol) must be positive and finite"):
+        run_case(case, 0.5, **{name: bad})
+
+
+@pytest.mark.parametrize("seed", [0, 5, 20260809])
+def test_a_sweep_case_depends_on_its_seed_and_index_alone(seed):
+    # case i draws from child i of SeedSequence(seed).spawn, built on its own:
+    # a longer sweep begins with the cases of a shorter one
+    for index in (0, 3, 9):
+        child = np.random.SeedSequence(seed).spawn(10)[index]
+        alone = np.random.SeedSequence(seed, spawn_key=(index,))
+        assert np.array_equal(child.generate_state(8), alone.generate_state(8))
+    assert harness.sweep_results(10, seed=seed)[:4] == harness.sweep_results(4, seed=seed)
