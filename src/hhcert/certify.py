@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -485,6 +486,14 @@ def _tangent_floor(m, a, b, kappa, g_lo, d_lo, d_hi) -> float:
     return float(_down(np.exp(floor.max())))
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int (numpy integers pass); refused by name otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise Refused(f"{name} must be an integer, got {value!r}") from None
+
+
 def estimate_modulus(
     f: Expression,
     a: float,
@@ -508,13 +517,15 @@ def estimate_modulus(
     (clipped to the domain).  c_star is the running minimum over everything
     sampled, which extra rounds never raise, clipped into [c_lo, c_up]; the
     status follows its sign, with |c_star| <= ZERO_TOLERANCE as zero.
-    Raises Refused unless a < b are finite with a finite width b - a,
+    Raises Refused unless a < b are finite with a finite width b - a and
+    grid_n >= 3 and refine_rounds >= 0 are integers (numpy integers pass),
     and, under an open bracket only, when the refine_rounds + 1 grids of
     grid_n^3 triples, each counted as at least 2**13, exceed TRIPLE_BUDGET
     (charged before the first grid) and when the grid minimum is not
     finite.
     """
     a, b = _validate_interval(a, b)
+    grid_n, refine_rounds = _count(grid_n, "grid_n"), _count(refine_rounds, "refine_rounds")
     if grid_n < 3:
         raise Refused(f"grid_n must be at least 3, got {grid_n}")
     if refine_rounds < 0:
@@ -561,18 +572,19 @@ def check_modulus(
     c: float,
     grid_n: int = 64,
 ) -> ModulusCheck:
-    """Check whether c (minus 1e-12) is at most the certified modulus.
+    """Check whether c is at most the certified modulus, with no slack.
 
     The certificate is ``estimate_modulus``'s without refinement, so where
     the bracket settles the verdict the defect is its proved c_lo (c_up
     under not_log_convex), with no grid sampled, no budget charged and the
     bracket edge witness; only under an open bracket is it the
     bracket-clipped minimum of the first grid, with the worst sampled
-    triple.  ok=False means c exceeds what the certificate stands
-    behind.  Raises Refused as ``estimate_modulus`` does.
+    triple.  c_lo is already the proved bound, so c is compared with no
+    slack: ok=False means c exceeds what the certificate stands behind,
+    even by one ulp.  Raises Refused as ``estimate_modulus`` does.
     """
     c = float(c)
     if not c > 0.0:
         raise Refused(f"modulus must be positive, got {c!r}")
     cert = estimate_modulus(f, a, b, grid_n, refine_rounds=0)
-    return ModulusCheck(ok=bool(cert.c_star >= c - 1e-12), witness=cert.witness, defect=cert.c_star)
+    return ModulusCheck(ok=bool(cert.c_star >= c), witness=cert.witness, defect=cert.c_star)

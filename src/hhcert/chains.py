@@ -74,8 +74,8 @@ from .expr import Expression, Refused
 from .quadrature import (
     DEFAULT_TOL,
     IntegrandError,
-    QuadratureResult,
     _integrate_expression,
+    _require_converged,
     _validate_interval,
     integrate,
 )
@@ -155,31 +155,6 @@ class _Means(NamedTuple):
 
 # the integrands of _means's rows, as errors name them
 _MEANS_ROWS = ("f(x)", "ln f(x)", "sqrt(f(x)*f(a+b-x))", "f(x)*f(a+b-x)")
-
-
-def _require_converged(result: QuadratureResult, rows, tols, a: float, b: float) -> None:
-    """Refuse a verdict on a mean whose integral missed its tolerance.
-
-    The chains read means, so a row passes when its error estimate meets
-    its tolerance as an integral (``converged``) or, divided by b - a, as a
-    mean: on an interval wider than 1 the roundoff floor alone can keep an
-    integral above an absolute tolerance that its mean meets, as for f = 1
-    on [-1e160, 1e160].  ``rows`` names the integrand of each row.
-    """
-    width = max(1.0, b - a)
-    errs = np.atleast_1d(result.error_estimate)
-    passed = errs / width <= tols
-    if passed.all():
-        return
-    missed = [
-        f"{row} (error estimate {err!r} > tolerance {row_tol * width!r})"
-        for row, err, row_tol, ok in zip(rows, errs.tolist(), np.atleast_1d(tols).tolist(), passed)
-        if not ok
-    ]
-    raise Refused(
-        f"the integral over [{a!r}, {b!r}] did not converge for {', '.join(missed)}; "
-        "no verdict can rest on it"
-    )
 
 
 # The last result of _means as one (key, value) tuple: a reader takes both

@@ -20,8 +20,8 @@ public chain checks, which share the one quadrature pass ``chains`` keeps.
 The Dragomir-Mond chain runs for every case (it only needs positivity);
 the strengthened chain and the product bound run when c is given and it
 was not refused.  A check that refuses its case (``Refused``, on which the
-CLI exits 2) records not_applicable; any other error is a defect and
-propagates.
+CLI exits 2) ends it, and every kind not yet judged records
+not_applicable; any other error is a defect and propagates.
 Failures of the "as printed" product bound are tallied separately and
 never fail a sweep: they document a typeset discrepancy, not a property of f.
 """
@@ -172,43 +172,35 @@ def run_case(
 ) -> CaseResult:
     """Run every applicable chain check of one case at modulus ``c``.
 
-    It calls ``dragomir_mond_chain``, then ``theorem1_chain`` and
-    ``theorem2_bound(form="both")``, which reuse the first one's quadrature
-    pass; these run only when ``c`` is given and the first was not refused:
-    a sweep passes c = c_lo * u for a case whose bracket proves a positive
-    modulus, and tests may force any c, including infeasible ones.
-    ``bracket`` is only recorded in the result, as the proof c rests on.
-    A tolerance or margin_tol that every check would refuse is refused
-    here, not recorded as the case's not_applicable outcomes.
+    It fills one table of (outcome, min margin, term pair) per kind from
+    ``dragomir_mond_chain``, then, when ``c`` is given, ``theorem1_chain``
+    and ``theorem2_bound(form="both")``, which reuse the first one's
+    quadrature pass.  The first refusal ends the case; a kind it left out
+    of the table is (not_applicable, None, None).  A sweep passes c = c_lo
+    * u where the bracket proves c_lo > 0; tests may force any c, and
+    ``bracket`` is only recorded.  A tolerance or margin_tol that every
+    check would refuse is refused here, not recorded as not_applicable.
     """
     _validate_tolerance(tol)
     chains._validate_margin_tol(margin_tol)
-    outcomes: Dict[str, str] = {kind: NOT_APPLICABLE for kind in CHAIN_KINDS}
-    margins: Dict[str, Optional[float]] = {kind: None for kind in CHAIN_KINDS}
-    pairs: Dict[str, Optional[Tuple[str, str]]] = {kind: None for kind in CHAIN_KINDS}
-
     f = case.expression()
     a, b = case.a, case.b
+    table: Dict[str, tuple] = {}  # kind -> (outcome, min margin, term pair)
     try:
-        dm = chains.dragomir_mond_chain(f, a, b, tol, margin_tol)
-        outcomes[KIND_DM], margins[KIND_DM], pairs[KIND_DM] = _chain_outcome(dm)
-    except Refused:
-        dm = None
-    if dm is not None and c is not None:
-        try:
-            t1 = chains.theorem1_chain(f, a, b, c, tol, margin_tol)
-            outcomes[KIND_T1], margins[KIND_T1], pairs[KIND_T1] = _chain_outcome(t1)
+        table[KIND_DM] = _chain_outcome(chains.dragomir_mond_chain(f, a, b, tol, margin_tol))
+        if c is not None:
+            table[KIND_T1] = _chain_outcome(chains.theorem1_chain(f, a, b, c, tol, margin_tol))
             t2 = chains.theorem2_bound(f, a, b, c, tol, margin_tol, form="both")
-            outcomes[KIND_T2] = HOLDS if t2.holds_corrected else VIOLATED
-            margins[KIND_T2] = t2.margin_corrected
-            pairs[KIND_T2] = chains._THEOREM2_PAIR
+            lhs = chains._THEOREM2_PAIR[0]
+            corrected = HOLDS if t2.holds_corrected else VIOLATED
+            table[KIND_T2] = corrected, t2.margin_corrected, chains._THEOREM2_PAIR
             if t2.holds_as_printed is not None:
-                outcomes[KIND_T2_PRINTED] = HOLDS if t2.holds_as_printed else VIOLATED
-                margins[KIND_T2_PRINTED] = t2.margin_as_printed
-                pairs[KIND_T2_PRINTED] = (chains._THEOREM2_PAIR[0], "rhs_as_printed")
-        except Refused:
-            pass
-
+                printed = HOLDS if t2.holds_as_printed else VIOLATED
+                table[KIND_T2_PRINTED] = printed, t2.margin_as_printed, (lhs, "rhs_as_printed")
+    except Refused:
+        pass
+    rows = [table.get(kind, (NOT_APPLICABLE, None, None)) for kind in CHAIN_KINDS]
+    outcomes, margins, pairs = (dict(zip(CHAIN_KINDS, column)) for column in zip(*rows))
     return CaseResult(
         case=case,
         c=c,
@@ -268,19 +260,17 @@ def sweep_results(
 def aggregate_results(
     results: Sequence[CaseResult], families: Sequence[str], seed: int
 ) -> SweepReport:
-    """Tally per-kind verdicts over case results (in case-index order)."""
-    holds = {kind: 0 for kind in CHAIN_KINDS}
-    violated = {kind: 0 for kind in CHAIN_KINDS}
-    not_applicable = {kind: 0 for kind in CHAIN_KINDS}
+    """Count each kind's outcomes in one table, and list each violation
+    under its kind's list (in case-index order): the "as printed" product
+    bound's in ``as_printed_failures``, every other in ``violations``."""
+    counts = {o: dict.fromkeys(CHAIN_KINDS, 0) for o in (HOLDS, VIOLATED, NOT_APPLICABLE)}
     violations = []
     printed_failures = []
     for index, result in enumerate(results):
         for kind in CHAIN_KINDS:
             outcome = result.outcomes[kind]
-            if outcome == HOLDS:
-                holds[kind] += 1
-            elif outcome == VIOLATED:
-                violated[kind] += 1
+            counts[outcome][kind] += 1
+            if outcome == VIOLATED:
                 entry = SweepViolation(
                     case_index=index,
                     case=result.case,
@@ -288,19 +278,14 @@ def aggregate_results(
                     min_margin=float(result.min_margins[kind]),
                     witness=result.witness_pairs[kind],
                 )
-                if kind == KIND_T2_PRINTED:
-                    printed_failures.append(entry)
-                else:
-                    violations.append(entry)
-            else:
-                not_applicable[kind] += 1
+                (printed_failures if kind == KIND_T2_PRINTED else violations).append(entry)
     return SweepReport(
         cases_run=len(results),
         seed=seed,
         families=tuple(families),
-        holds=holds,
-        violated=violated,
-        not_applicable=not_applicable,
+        holds=counts[HOLDS],
+        violated=counts[VIOLATED],
+        not_applicable=counts[NOT_APPLICABLE],
         violations=tuple(violations),
         as_printed_failures=tuple(printed_failures),
     )

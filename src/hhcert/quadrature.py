@@ -119,6 +119,31 @@ class QuadratureResult:
     converged: bool  # every row within its tolerance
 
 
+def _require_converged(result: QuadratureResult, rows, tols, a: float, b: float) -> None:
+    """Refuse a mean whose integral missed its tolerance.
+
+    The chains and ``mean_integral`` read means, so a row passes when its
+    error estimate meets its tolerance as an integral (``converged``) or,
+    divided by b - a, as a mean: on an interval wider than 1 the roundoff floor alone can keep an
+    integral above an absolute tolerance that its mean meets, as for f = 1
+    on [-1e160, 1e160].  ``rows`` names the integrand of each row.
+    """
+    width = max(1.0, b - a)
+    errs = np.atleast_1d(result.error_estimate)
+    passed = errs / width <= tols
+    if passed.all():
+        return
+    missed = [
+        f"{row} (error estimate {err!r} > tolerance {row_tol * width!r})"
+        for row, err, row_tol, ok in zip(rows, errs.tolist(), np.atleast_1d(tols).tolist(), passed)
+        if not ok
+    ]
+    raise Refused(
+        f"the integral over [{a!r}, {b!r}] did not converge for {', '.join(missed)}; "
+        "no verdict can rest on it"
+    )
+
+
 class IntegrandError(Refused):
     """The integrand produced a non-finite value; ``x`` is the abscissa."""
 
@@ -259,5 +284,11 @@ def _integrate_expression(f: Expression, a: float, b: float, tol: float) -> Quad
 
 
 def mean_integral(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
-    """(1/(b-a)) * integral of f over [a, b]."""
-    return _integrate_expression(f, a, b, tol).value / (b - a)
+    """(1/(b-a)) * integral of f over [a, b].
+
+    Refused, naming f(x), when the error estimate meets ``tol`` neither as
+    an integral nor as a mean, the rule of ``_require_converged``.
+    """
+    result = _integrate_expression(f, a, b, tol)
+    _require_converged(result, ("f(x)",), tol, a, b)
+    return result.value / (b - a)

@@ -1,6 +1,7 @@
 """Log-convexity certifier tests: defect ratios, grid estimates, checks."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from hhcert.certify import (
     _positive_values,
     _spacing,
 )
-from hhcert.expr import DomainError, EvaluationError, Expression, parse
+from hhcert.expr import DomainError, EvaluationError, Expression, Refused, parse
 
 EXP_X2 = parse("exp(x^2)")
 EXP_MINUS_X2 = parse("exp(-x^2)")  # log-concave: the bracket settles not_log_convex
@@ -1033,3 +1034,53 @@ def test_an_infinite_c_star_is_refused_by_name(monkeypatch):
 def test_check_requires_positive_modulus():
     with pytest.raises(ValueError):
         check_modulus(EXP_X2, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "text, c, c_star",
+    [("exp(x)", 1e-13, 0.0), ("exp(1e-13*x^2)", 5e-13, 9.999999999999997e-14)],
+    ids=["certified_zero", "tiny_positive"],
+)
+def test_check_passes_no_modulus_above_the_proof(text, c, c_star):
+    # an absolute slack of 1e-12 once passed any c within 1e-12 above the
+    # proved c_star, which is most of a modulus this small
+    result = check_modulus(parse(text), 0.0, 1.0, c)
+    assert result.defect == c_star
+    assert not result.ok
+
+
+@pytest.mark.parametrize("text", ["exp(x^2)", "exp(1e-13*x^2)"])
+def test_check_passes_the_certified_modulus_itself(text):
+    f = parse(text)
+    c_star = estimate_modulus(f, 0.0, 1.0, refine_rounds=0).c_star
+    assert c_star > 0.0
+    assert check_modulus(f, 0.0, 1.0, c_star).ok
+    assert not check_modulus(f, 0.0, 1.0, math.nextafter(c_star, math.inf)).ok
+
+
+@pytest.mark.parametrize("forced_open", [False, True], ids=["settled", "open"])
+@pytest.mark.parametrize(
+    "name, value",
+    [("grid_n", 16.5), ("refine_rounds", 1.5), ("grid_n", "16")],
+    ids=["grid_float", "rounds_float", "grid_str"],
+)
+def test_a_non_integer_grid_argument_is_refused_by_name(monkeypatch, forced_open, name, value):
+    # a float grid once passed where the bracket settles (grid_size=16.5) and
+    # raised a bare TypeError from np.linspace under an open bracket
+    if forced_open:
+        _force_open(monkeypatch)
+    message = rf"^{re.escape(f'{name} must be an integer, got {value!r}')}$"
+    with pytest.raises(Refused, match=message):
+        estimate_modulus(EXP_X2, 0.0, 1.0, **{name: value})
+    if name == "grid_n":
+        with pytest.raises(Refused, match=message):
+            check_modulus(EXP_X2, 0.0, 1.0, 0.5, grid_n=value)
+
+
+@pytest.mark.parametrize("forced_open", [False, True], ids=["settled", "open"])
+def test_numpy_integer_grid_arguments_pass(monkeypatch, forced_open):
+    if forced_open:
+        _force_open(monkeypatch)
+    cert = estimate_modulus(EXP_X2, 0.0, 1.0, np.int64(16), np.int32(1))
+    assert cert == estimate_modulus(EXP_X2, 0.0, 1.0, 16, 1)
+    assert type(cert.grid_size) is int

@@ -193,6 +193,39 @@ def test_custom_case_with_non_positive_function_is_not_applicable():
     assert all(result.outcomes[kind] == "not_applicable" for kind in CHAIN_KINDS)
 
 
+_REFUSAL_ORDER = ("dragomir_mond_chain", "theorem1_chain", "theorem2_bound")
+
+
+@pytest.mark.parametrize("refusing", _REFUSAL_ORDER)
+def test_a_refused_check_stops_the_later_checks_of_its_case(monkeypatch, refusing):
+    # the checks run in the order dm, t1, t2 and a refusal ends the case:
+    # the kinds already judged keep their outcomes, every later kind is
+    # not_applicable with no margin or pair, and no later check is called
+    case = CaseSpec("custom", (), 0.0, 1.0, 0, "exp(x^2)")
+    full = run_case(case, c=0.5)
+    assert "not_applicable" not in full.outcomes.values()
+    called = []
+
+    def refuse(*args, **kwargs):
+        raise Refused("refused")
+
+    for name in _REFUSAL_ORDER:
+        check = refuse if name == refusing else getattr(chains, name)
+        monkeypatch.setattr(
+            chains, name, lambda *a, _n=name, _c=check, **k: called.append(_n) or _c(*a, **k)
+        )
+    result = run_case(case, c=0.5)
+    position = _REFUSAL_ORDER.index(refusing)
+    assert called == list(_REFUSAL_ORDER[: position + 1])
+    judged = CHAIN_KINDS[:position]  # dm, t1, then both product-bound kinds
+    for kind in CHAIN_KINDS:
+        got = (result.outcomes[kind], result.min_margins[kind], result.witness_pairs[kind])
+        if kind in judged:
+            assert got == (full.outcomes[kind], full.min_margins[kind], full.witness_pairs[kind])
+        else:
+            assert got == ("not_applicable", None, None), kind
+
+
 # --------------------------------------------------------------------------
 # sweeps
 # --------------------------------------------------------------------------
@@ -384,3 +417,37 @@ def test_a_sweep_case_depends_on_its_seed_and_index_alone(seed):
         alone = np.random.SeedSequence(seed, spawn_key=(index,))
         assert np.array_equal(child.generate_state(8), alone.generate_state(8))
     assert harness.sweep_results(10, seed=seed)[:4] == harness.sweep_results(4, seed=seed)
+
+
+def test_the_500_case_sweep_is_pinned():
+    # every tally, every violation's kind and witness pair, and the case
+    # indices of both lists, at the seed the CLI's byte-identity rows use
+    report = sweep(500, ALL_FAMILIES, seed=20260809)
+    assert report.cases_run == 500
+    assert {kind: (report.holds[kind], report.violated[kind], report.not_applicable[kind])
+            for kind in CHAIN_KINDS} == {
+        KIND_DM: (412, 88, 0),
+        KIND_T1: (231, 0, 269),
+        KIND_T2: (231, 0, 269),
+        KIND_T2_PRINTED: (42, 35, 423),
+    }
+    assert {(v.kind, v.witness) for v in report.violations} == {
+        (KIND_DM, ("mean_integral", "log_mean_endpoints"))
+    }
+    assert [v.case_index for v in report.violations] == [
+        0, 6, 20, 25, 27, 50, 54, 55, 63, 67, 76, 80, 81, 91, 92, 94, 95, 97, 109, 116,
+        124, 137, 139, 146, 148, 149, 153, 160, 167, 170, 185, 188, 191, 198, 199, 201,
+        212, 223, 224, 234, 237, 245, 246, 249, 265, 270, 277, 283, 289, 290, 299, 312,
+        316, 319, 321, 329, 331, 335, 340, 343, 357, 373, 375, 380, 387, 404, 413, 417,
+        421, 422, 425, 426, 430, 431, 434, 438, 442, 451, 458, 459, 460, 465, 467, 477,
+        478, 484, 492, 496,
+    ]
+    assert {(v.kind, v.witness) for v in report.as_printed_failures} == {
+        (KIND_T2_PRINTED, ("mean_product_integral", "rhs_as_printed"))
+    }
+    assert [v.case_index for v in report.as_printed_failures] == [
+        4, 26, 38, 44, 47, 73, 78, 98, 100, 158, 189, 190, 203, 220, 243, 244, 259, 266,
+        274, 281, 298, 303, 307, 309, 324, 325, 337, 338, 339, 363, 367, 381, 396, 457, 472,
+    ]
+    for v in report.violations + report.as_printed_failures:
+        assert v.case.seed == v.case_index and v.min_margin < 0.0

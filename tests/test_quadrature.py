@@ -298,3 +298,21 @@ def test_mean_integral_examples():
 def test_mean_integral_propagates_domain_error():
     with pytest.raises(DomainError):
         mean_integral(parse("ln(x)"), -1.0, 1.0)
+
+
+def test_mean_integral_refuses_an_unconverged_mean_by_name():
+    # the integral of exp(x) on [0, 1] stops at an error estimate of about
+    # 1.9e-14, which misses 1e-300 as an integral and as a mean; the mean
+    # was once returned as 1.718281828459045 all the same
+    f = parse("exp(x)")
+    assert not integrate(f.eval_array, 0.0, 1.0, tol=1e-300).converged
+    with pytest.raises(Refused, match=r"did not converge for f\(x\) \(error estimate "):
+        mean_integral(f, 0.0, 1.0, tol=1e-300)
+
+
+def test_mean_integral_accepts_a_mean_that_meets_its_tolerance_as_a_mean():
+    # the roundoff floor of f = 1 on [-1e160, 1e160] misses 1e-10 as an
+    # integral, but not once divided by the width
+    f = parse("1")
+    assert not integrate(f.eval_array, -1e160, 1e160).converged
+    assert mean_integral(f, -1e160, 1e160) == 1.0
