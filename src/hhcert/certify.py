@@ -66,14 +66,13 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .expr import Expression, Refused
-from .quadrature import _validate_interval
+from .quadrature import _count, _validate_interval
 
 __all__ = [
     "ZERO_TOLERANCE",
@@ -484,14 +483,6 @@ def _tangent_floor(m, a, b, kappa, g_lo, d_lo, d_hi) -> float:
     floor = _down(g_lo + np.maximum(linear, quadratic))
     floor = np.where(np.isnan(floor), -math.inf, floor)
     return float(_down(np.exp(floor.max())))
-
-
-def _count(value, name: str) -> int:
-    """``value`` as an int (numpy integers pass); refused by name otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise Refused(f"{name} must be an integer, got {value!r}") from None
 
 
 def estimate_modulus(

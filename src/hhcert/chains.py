@@ -74,10 +74,10 @@ from .expr import Expression, Refused
 from .quadrature import (
     DEFAULT_TOL,
     IntegrandError,
-    _integrate_expression,
     _require_converged,
     _validate_interval,
     integrate,
+    mean_integral,
 )
 
 __all__ = [
@@ -273,11 +273,9 @@ def classical_hh_terms(
     fb = f(b)
     fm = f((a + b) / 2.0)
     scale = max(1.0, abs(fa), abs(fb), abs(fm))
-    result = _integrate_expression(f, a, b, tol * scale)
-    _require_converged(result, ("f(x)",), tol * scale, a, b)
     terms = [
         ("midpoint_value", fm),
-        ("mean_integral", result.value / (b - a)),
+        ("mean_integral", mean_integral(f, a, b, tol * scale)),
         ("endpoint_average", (fa + fb) / 2.0),
     ]
     return _report(f, a, b, 0.0, terms, margin_tol)

@@ -7,35 +7,51 @@ inheriting half the share, so the accepted panels' estimates sum to at
 most the requested tolerance.  The 15-point rule integrates polynomials
 up to degree 22 exactly, far beyond the degree-10 single-panel requirement.
 
-The panel tree is walked breadth-first: the active panels of one bisection
-level go to the integrand as one flat array of abscissae, in chunks of
-``_CHUNK_PANELS`` panels so one call's memory is bounded.  The K15, G7 and
-absolute sums are numpy reductions over each panel's nodes, in an order
-that does not depend on the batch.  An integrand may return k rows, one
-per function, with k tolerances; a panel is then accepted only when every
-row meets its own share (or roundoff floor).
+The panel tree is walked breadth-first in rounds.  The root panel [a, b]
+is judged alone; each later round evaluates the active panels together
+with their two halves.  A panel is judged at its depth's share; where it
+misses, its halves are judged at once at the next depth's share, and only
+the halves that miss theirs are split into the next round's active
+panels.  A tree of L levels thus takes 1 + ceil((L - 1)/2) rounds, not L.
+The halves of a panel that passes are evaluated and dropped, so
+``evaluations`` counts every abscissa evaluated, theirs included; an
+integral accepted at the root evaluates nothing more.
+
+A round's panels, active ones and halves together, go to the integrand as
+one flat array of abscissae, in chunks of ``_CHUNK_PANELS`` panels so one
+call's memory is bounded, and are judged once every chunk has returned.
+The K15, G7 and absolute sums are numpy reductions over each panel's
+nodes, in an order that does not depend on the batch, so neither the
+chunk size nor the rounds move a bit: the accepted panels and their sums
+are those of a walk that evaluates one level per call.  An integrand may
+return k rows, one per function, with k tolerances; a panel is then
+accepted only when every row meets its own share (or roundoff floor).
 
 Four guards keep the refinement honest and bounded:
 
 * a panel whose K15 sum or error estimate is not finite (the integral
-  overflows; no split could accept it) raises ``Refused``, not a warning;
+  overflows; no split could accept it) raises ``Refused``, not a warning,
+  and so does a non-finite value at any node evaluated, a dropped half's
+  included;
 * a panel whose raw estimate is already below ~50 eps times the panel's
   absolute integral is roundoff-limited and is not split further
   (bisection cannot beat double precision);
-* refinement depth is capped (default 50); panels cut off there still
-  contribute their best estimate and the result reports converged=False
-  whenever the summed estimate misses the tolerance;
+* refinement depth is capped (``max_depth``, a nonnegative integer,
+  default 50); panels cut off there still contribute their best estimate
+  and the result reports converged=False whenever the summed estimate
+  misses the tolerance;
 * a call that would evaluate more than ``EVALUATION_BUDGET`` abscissae is
   refused with ``Refused`` before the chunk that would pass it, so no
   integrand buys unbounded time or memory below the depth cap.
 
-Accepted panels are summed in ascending abscissa order, whatever level
+Accepted panels are summed in ascending abscissa order, whatever round
 accepted them, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -101,13 +117,13 @@ def _normalize(weights: list) -> np.ndarray:
 _WEIGHTS = np.array([_normalize(_WGK), _normalize(_WG)])
 
 # Panels per integrand call.  At 512 panels one call sees 7,680 abscissae,
-# so a 4-row integrand's values take 240 kB however many panels a level has.
+# so a 4-row integrand's values take 240 kB however many panels a round has.
 _CHUNK_PANELS = 512
 
-# Most abscissae one integrate call may evaluate: 69,905 panels, some 1,800
-# times the 585 evaluations of the largest integral in the benchmark's
-# workloads, where exp(sin(1/x)) on [1e-6, 1] once took 24.4M evaluations
-# and 109 MB.
+# Most abscissae one integrate call may evaluate: 69,905 panels, some 1,270
+# times the 825 evaluations (dropped halves included) of the largest
+# integral in the benchmark's workloads at seed 101, where exp(sin(1/x)) on
+# [1e-6, 1] once took 24.4M evaluations and 109 MB.
 EVALUATION_BUDGET = 2**20
 
 
@@ -115,7 +131,7 @@ EVALUATION_BUDGET = 2**20
 class QuadratureResult:
     value: float  # an array of k values for a k-row integrand
     error_estimate: float  # likewise
-    evaluations: int  # abscissae evaluated, 15 per panel
+    evaluations: int  # abscissae evaluated, 15 per panel, dropped halves included
     converged: bool  # every row within its tolerance
 
 
@@ -205,6 +221,23 @@ def _panels(g: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return k15, raw, 50.0 * _EPS * resabs
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int (numpy integers pass); refused by name otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise Refused(f"{name} must be an integer, got {value!r}") from None
+
+
+def _halves(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The two halves of each panel [lo, hi], in abscissa order."""
+    mid = 0.5 * (lo + hi)
+    los, his = np.empty((2, 2 * lo.size))
+    los[0::2], los[1::2] = lo, mid
+    his[0::2], his[1::2] = mid, hi
+    return los, his
+
+
 @np.errstate(all="ignore")  # each non-finite value is named by an error instead
 def integrate(
     g: Callable,
@@ -219,55 +252,82 @@ def integrate(
     matching array of values (plain ufunc arithmetic in a lambda is
     enough).  It may instead return a (k, n) array, one row per integrand;
     ``tol`` then holds k tolerances (or one for all rows), and ``value``
-    and ``error_estimate`` of the result are arrays of k entries.  Raises
-    Refused on an overflow, on more than ``EVALUATION_BUDGET``
-    evaluations, a tolerance refused by ``_validate_tolerance``, a count of
-    tolerances that is neither 1 nor k, or an interval refused by
+    and ``error_estimate`` of the result are arrays of k entries.
+
+    The root panel [a, b] is judged alone.  Each later round evaluates the
+    active panels together with their two halves, in one integrand call per
+    chunk: a panel that misses its share has its halves judged at once, so
+    a tree of L levels takes 1 + ceil((L - 1)/2) rounds.  ``evaluations``
+    counts every abscissa evaluated, the halves of panels that passed
+    included.
+
+    Raises Refused on an overflow, on more than ``EVALUATION_BUDGET``
+    evaluations, a ``max_depth`` that is not a nonnegative integer, a
+    tolerance refused by ``_validate_tolerance``, a count of tolerances
+    that is neither 1 nor k, or an interval refused by
     ``_validate_interval``, the rule of the certifier and of every chain.
     An integrand that returns no value per abscissa raises a plain
     ValueError: it is a defect of the caller, not a refused input.
     """
     a, b = _validate_interval(a, b)
     tols = _validate_tolerance(tol)
+    max_depth = _count(max_depth, "max_depth")
+    if max_depth < 0:
+        raise Refused(f"max_depth must be nonnegative, got {max_depth}")
 
     tols_by_row = tols[:, None]
-    los, his = np.array([a]), np.array([b])
-    kept = []  # lo and (value, error) of each chunk's accepted panels
     evaluations = 0
+
+    def share(depth):
+        # the depth cap keeps every panel: its estimate is finite, below inf
+        return tols_by_row * (0.5**depth if depth < max_depth else math.inf)
+
+    kept = []  # lo and (value, error) of each round's accepted panels
+    lo, hi = np.array([a]), np.array([b])  # the root is judged alone
     depth = 0
     while True:
-        share = tols_by_row * 0.5**depth
-        split = []
-        for start in range(0, los.size, _CHUNK_PANELS):
-            lo, hi = los[start : start + _CHUNK_PANELS], his[start : start + _CHUNK_PANELS]
-            evaluations += 15 * lo.size
+        n = lo.size
+        halves = 0 < depth < max_depth  # the active panels go with their halves
+        if halves:
+            half_lo, half_hi = _halves(lo, hi)
+            lo, hi = np.concatenate((lo, half_lo)), np.concatenate((hi, half_hi))
+        parts = []
+        for start in range(0, lo.size, _CHUNK_PANELS):
+            chunk = slice(start, start + _CHUNK_PANELS)
+            evaluations += 15 * lo[chunk].size
             if evaluations > EVALUATION_BUDGET:
                 raise Refused(
-                    f"integrating over [{a!r}, {b!r}] would take {evaluations} evaluations "
-                    f"by depth {depth}, above the budget of {EVALUATION_BUDGET} evaluations"
+                    f"integrating over [{a!r}, {b!r}] would take {evaluations} evaluations by "
+                    f"depth {depth + halves}, above the budget of {EVALUATION_BUDGET} evaluations"
                 )
-            value, raw, floor = _panels(g, lo, hi)
-            # depth 0 is the one panel [a, b], so value holds one entry per row
-            if depth == 0 and tols.size not in (1, value.size):
-                raise Refused(f"{tols.size} tolerances for {value.size} integrand rows")
-            done = np.logical_and.reduce((raw <= np.maximum(share, floor)).reshape(-1, lo.size))
-            sums = np.array((value, np.maximum(raw, floor)))
-            if depth >= max_depth or done.all():
-                kept.append((lo, sums))
-            else:
-                kept.append((lo[done], sums[..., done]))
-                split.append((lo[~done], hi[~done]))
-        if not split:
+            parts.append(_panels(g, lo[chunk], hi[chunk]))
+        # the round is judged once every chunk has returned
+        value, raw, floor = parts[0]
+        if len(parts) > 1:
+            value, raw, floor = (np.concatenate(part, axis=-1) for part in zip(*parts))
+        # the root is one panel, so value holds one entry per row
+        if depth == 0 and tols.size not in (1, value.size):
+            raise Refused(f"{tols.size} tolerances for {value.size} integrand rows")
+        limit = np.maximum(floor, share(depth))
+        if halves:
+            limit[:, n:] = np.maximum(floor[..., n:], share(depth + 1))
+        done = np.logical_and.reduce(raw <= limit)
+        split = ~done
+        if halves:  # a half is judged only where its panel missed its share
+            split = split[:n].repeat(2)
+            done[n:] &= split
+            split &= ~done[n:]
+        sums = np.array((value, np.maximum(raw, floor)))
+        kept.append((lo.compress(done), sums.compress(done, axis=-1)))
+        deepest = lo.size - split.size  # the panels that split start here
+        lo, hi = lo[deepest:].compress(split), hi[deepest:].compress(split)
+        if not lo.size:
             break
-        lo, hi = (np.concatenate(ends) for ends in zip(*split))
-        mid = 0.5 * (lo + hi)
-        los, his = np.empty((2, 2 * lo.size))  # the children, in abscissa order
-        los[0::2], los[1::2] = lo, mid
-        his[0::2], his[1::2] = mid, hi
-        depth += 1
+        lo, hi = _halves(lo, hi)
+        depth += 1 + halves
 
     lo, sums = kept[0]
-    if len(kept) > 1:  # levels and chunks interleave in abscissa
+    if len(kept) > 1:  # rounds and depths interleave in abscissa
         lo, sums = (np.concatenate(parts, axis=-1) for parts in zip(*kept))
         sums = sums[..., np.argsort(lo, kind="stable")]
     value, err = np.add.reduce(sums, axis=-1)

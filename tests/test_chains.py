@@ -25,7 +25,7 @@ from hhcert.chains import (
 )
 from hhcert.expr import DomainError, Refused, parse
 from hhcert.means import arithmetic_mean, logarithmic_mean
-from hhcert.quadrature import integrate
+from hhcert.quadrature import _NODES, integrate
 
 EXP_X2 = parse("exp(x^2)")
 EXP_X = parse("exp(x)")
@@ -149,6 +149,18 @@ def test_dm_evaluates_f_twice_per_quadrature_node(monkeypatch):
 def test_dm_rejects_non_positive_function():
     with pytest.raises(NotPositiveError):
         dragomir_mond_chain(parse("x"), -1.0, 1.0)
+
+
+def test_the_means_pass_checks_f_at_the_halves_of_passing_panels():
+    # in the means pass of (x + 0.001)^-1.5 on [0, 1], [0.125, 0.25] meets its
+    # share, so walking one level per call never evaluated its left half;
+    # this f is that one except at a node c of the half, where it is 0, and
+    # it once held; the half now goes with its panel, and c is refused
+    c = float(0.15625 + 0.03125 * _NODES[3])
+    f = parse(f"(x + 0.001)^-1.5 * (1 - exp(-1e300*abs(x - {c!r})))")
+    with pytest.raises(NotPositiveError, match=r"^f\(x\) = 0\.0 <= 0 at x=") as err:
+        dragomir_mond_chain(f, 0.0, 1.0)
+    assert err.value.x == c
 
 
 # --------------------------------------------------------------------------

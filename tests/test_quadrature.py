@@ -256,6 +256,53 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
         assert result.evaluations == reference.evaluations
 
 
+@pytest.mark.parametrize(
+    "text, evaluations, calls, value, error",
+    [
+        # accepted at the root: the one panel, in one call
+        ("exp(x)", 15, 1, "0x1.b7e151628aed2p+0", "0x1.57a80794fc894p-46"),
+        # a tree of 13 levels in 7 rounds; the halves of passing panels are
+        # evaluated too, so 1005 evaluations where one level per call took 675
+        ("(x + 0.001)^-1.5", 1005, 7, "0x1.e9f8f07e3527cp+5", "0x1.2e1d4311078d6p-40"),
+    ],
+)
+def test_work_counts_and_bits_are_pinned(text, evaluations, calls, value, error):
+    g = parse(text).eval_array
+    seen = []
+    result = integrate(lambda xs: seen.append(xs.size) or g(xs), 0.0, 1.0)
+    assert (result.evaluations, len(seen), sum(seen)) == (evaluations, calls, evaluations)
+    assert (result.value.hex(), result.error_estimate.hex()) == (value, error)
+
+
+def test_a_half_of_a_passing_panel_is_checked_at_its_nodes():
+    # [0.375, 0.5] meets its share at depth 3, so walking one level per call
+    # never evaluated its left half, and a nan at a node c of that half went
+    # unseen; the half now goes with its panel, and c is refused by name
+    g = lambda xs: (xs + 0.001) ** -1.5
+    _, raw, floor = quadrature._panels(g, np.array([0.375]), np.array([0.5]))
+    assert raw[0] <= max(1e-10 * 0.5**3, floor[0])
+    c = float(0.40625 + 0.03125 * quadrature._NODES[3])
+    with pytest.raises(IntegrandError, match=r"^integrand is not finite at x=") as err:
+        integrate(lambda xs: g(xs) + 0.0 / (xs - c), 0.0, 1.0)
+    assert err.value.x == c
+
+
+@pytest.mark.parametrize(
+    "max_depth, message",
+    [
+        (None, "max_depth must be an integer, got None"),
+        ("a", "max_depth must be an integer, got 'a'"),
+        (2.5, "max_depth must be an integer, got 2.5"),
+        (-5, "max_depth must be nonnegative, got -5"),
+    ],
+)
+def test_a_max_depth_that_is_not_a_nonnegative_integer_is_refused_by_name(max_depth, message):
+    # None and 'a' once raised a bare TypeError, and -5 and 2.5 were taken
+    with pytest.raises(Refused) as err:
+        integrate(lambda xs: xs, 0.0, 1.0, max_depth=max_depth)
+    assert str(err.value) == message
+    assert integrate(lambda xs: xs, 0.0, 1.0, max_depth=np.int64(0)).converged
+
 
 def test_the_evaluation_budget_is_checked_before_each_chunk(monkeypatch):
     # a call that fits its budget exactly runs; with one evaluation less it is
