@@ -29,8 +29,8 @@ the working set stays in a per-core L2 cache and memory is flat at any
 grid size.  Once per grid, lam is clipped to (0, 1) and f is evaluated on
 xs and ys in one call; each chunk evaluates f once on its interior
 points.  Positivity is read off the finiteness of the ln f values the
-ratios need anyway; the precise error for the first offender is computed
-only on failure.  Time grows as N^3 in the
+ratios need anyway; only on failure does ``expr._positive_values`` take
+the same points again and name the first offender.  Time grows as N^3 in the
 grid size N, so a call whose grids would sample more than TRIPLE_BUDGET
 triples is refused with ``Refused`` before the first grid; each grid
 counts as at least 2**13 triples, the cost of its fixed work.  The budget
@@ -71,7 +71,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .expr import Expression, Refused
+from .expr import Expression, NotPositiveError, Refused, _positive_values
 from .quadrature import _count, _validate_interval
 
 __all__ = [
@@ -104,15 +104,6 @@ class CertStatus(enum.Enum):
     NOT_LOG_CONVEX = "not_log_convex"
 
 
-class NotPositiveError(Refused):
-    """f left (0, inf) at a sampled point; the check does not apply."""
-
-    def __init__(self, message: str, x: Optional[float] = None, value: Optional[float] = None):
-        super().__init__(message)
-        self.x = x
-        self.value = value
-
-
 @dataclass(frozen=True)
 class ModulusCertificate:
     c_star: float
@@ -141,29 +132,6 @@ class ModulusCheck:
     ok: bool
     witness: Tuple[float, float, float]
     defect: float
-
-
-def _positive_values(f: Expression, pts: np.ndarray) -> np.ndarray:
-    """Evaluate f over pts, requiring finite positive values everywhere.
-
-    The values that pass take two reductions (a NaN fails the first); the
-    first failing point is then located for the error.
-    """
-    vals = f.eval_array(pts)
-    if vals.min() > 0.0 and vals.max() < np.inf:
-        return vals
-    flat_vals = vals.ravel()
-    flat_pts = np.asarray(pts, dtype=float).ravel()
-    finite = np.isfinite(flat_vals)
-    if not finite.all():
-        bad = float(flat_pts[int(np.argmin(finite))])
-        f(bad)  # raises the precise DomainError / EvaluationError
-        raise NotPositiveError(f"non-finite value at x={bad!r}", x=bad)  # pragma: no cover
-    idx = int(np.argmax(flat_vals <= 0.0))
-    bad, value = float(flat_pts[idx]), float(flat_vals[idx])
-    raise NotPositiveError(
-        f"f(x) = {value!r} <= 0 at x={bad!r}; log-convexity does not apply", x=bad, value=value
-    )
 
 
 def log_defect(f: Expression, x: float, y: float, lam: float) -> float:
@@ -238,8 +206,7 @@ def _defect_chunks(f: Expression, xs: np.ndarray, ys: np.ndarray, lams: np.ndarr
     # |ln v| < 745 for every positive double, so the sum is finite exactly
     # when f is finite and positive at every point
     if not math.isfinite(lf.sum()):
-        _positive_values(f, xs)
-        _positive_values(f, ys)
+        _positive_values(f, pts)
     lfx, lfy = lf[: xs.size], lf[pts.size - ys.size :]
     threshold = 0.49 * max(_spacing(xs), _spacing(ys))
     # the two terms of t = lam*x + (1-lam)*y, once per grid

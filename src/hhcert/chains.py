@@ -41,8 +41,10 @@ b and tol (so -0.0 and 0.0 stay apart), and returns it to the next call
 with the same key, so checks of one f on one interval run one after another
 share one pass, as a sweep case's checks and ``max_feasible_c``'s calls of
 ``theorem1_chain`` do.  It keeps that one entry and no refusal, so a
-refused input is refused again.  The classical
-chain needs no positivity and integrates f alone.  An integral whose error
+refused input is refused again.  The classical chain needs no positivity
+and integrates f alone, but reads f(a), f(b) and f((a+b)/2) as ``_means``
+does, by ``expr._positive_values`` (finite only), so both report the same
+bits and refuse a bad point by the same error.  An integral whose error
 estimate misses its tolerance, both as an integral and as a mean (the depth
 cap or the roundoff floor stopped it), raises ``Refused`` naming the rows
 that missed, so no verdict rests on it.
@@ -69,8 +71,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import means
-from .certify import _positive_values
-from .expr import Expression, Refused
+from .expr import Expression, Refused, _positive_values
 from .quadrature import (
     DEFAULT_TOL,
     IntegrandError,
@@ -269,9 +270,7 @@ def classical_hh_terms(
 ) -> ChainReport:
     """midpoint value <= mean integral <= endpoint average (convex f)."""
     a, b = _validate_interval(a, b)
-    fa = f(a)
-    fb = f(b)
-    fm = f((a + b) / 2.0)
+    fa, fb, fm = _positive_values(f, np.array([a, b, (a + b) / 2.0]), positive=False).tolist()
     scale = max(1.0, abs(fa), abs(fb), abs(fm))
     terms = [
         ("midpoint_value", fm),

@@ -17,7 +17,9 @@ everywhere.  ``evaluate_array`` maps an array and leaves domain
 violations NaN or infinite.  ``evaluate`` (``f(x)``) walks the one-point
 array ``[x]``, checks each node's domain rules in evaluation order and
 raises a named error for the first node that leaves its domain; where it
-returns, it returns ``f.eval_array([x])[0]`` bit for bit.
+returns, it returns ``f.eval_array([x])[0]`` bit for bit.  The other modules
+take f over a point set from ``_positive_values``: one array walk, and the
+checked walk only to name a failure by node and x (``division by zero at x=0.5``).
 
 Trees are immutable after parsing and evaluation is pure, so expressions
 are safe to share across threads without locking.
@@ -30,7 +32,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +43,7 @@ __all__ = [
     "ParseError",
     "DomainError",
     "EvaluationError",
+    "NotPositiveError",
     "parse",
     "evaluate",
     "evaluate_array",
@@ -53,7 +56,7 @@ class Refused(ValueError):
 
 
 class ExpressionError(Refused):
-    """Base class for everything this module raises."""
+    """Base class of ParseError, DomainError and EvaluationError."""
 
 
 class ParseError(ExpressionError):
@@ -70,6 +73,15 @@ class DomainError(ExpressionError):
 
 class EvaluationError(ExpressionError):
     """Evaluation left the finite doubles (overflow / non-finite result)."""
+
+
+class NotPositiveError(Refused):
+    """f left (0, inf) at a sampled point; the check does not apply."""
+
+    def __init__(self, message: str, x: Optional[float] = None, value: Optional[float] = None):
+        super().__init__(message)
+        self.x = x
+        self.value = value
 
 
 # --------------------------------------------------------------------------
@@ -380,8 +392,7 @@ def evaluate_array(f: Expression, xs) -> np.ndarray:
     """Evaluate ``f`` elementwise over ``xs`` (any shape).
 
     Domain violations are not raised here: the offending entries come back
-    NaN or infinite, and callers that need the named error evaluate
-    ``f(x)`` at an offending abscissa, which walks the same operations.
+    NaN or infinite, for ``_positive_values`` to name the first of them.
     """
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
@@ -390,6 +401,31 @@ def evaluate_array(f: Expression, xs) -> np.ndarray:
     if out.shape != xs.shape:
         out = np.broadcast_to(out, xs.shape).copy()
     return out
+
+
+def _positive_values(f: Expression, pts, positive: bool = True) -> np.ndarray:
+    """f over ``pts`` by one array walk; each value finite, and positive if ``positive``.
+
+    Values that pass take two reductions (a NaN fails the first).  Else the
+    first non-finite point is walked with ``evaluate``'s checks, whose error
+    gains ``at x=...``, or, where all are finite, the first <= 0 is refused.
+    """
+    vals = f.eval_array(pts)
+    if vals.min() > (0.0 if positive else -math.inf) and vals.max() < math.inf:
+        return vals
+    flat_vals, finite = vals.ravel(), np.isfinite(vals).ravel()
+    i = int(np.argmax(flat_vals <= 0.0) if finite.all() else np.argmin(finite))
+    x, value = float(np.ravel(pts)[i]), float(flat_vals[i])
+    if math.isfinite(value):
+        raise NotPositiveError(
+            f"f(x) = {value!r} <= 0 at x={x!r}; log-convexity does not apply", x=x, value=value
+        )
+    try:
+        with np.errstate(all="ignore"):
+            _walk(f.root, np.array([x]), True)
+    except ExpressionError as exc:
+        raise type(exc)(f"{exc} at x={x!r}") from None
+    raise EvaluationError(f"non-finite result at x={x!r}")
 
 
 # --------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 from . import chains
 from .certify import CertStatus, ModulusBracket, modulus_bracket
 from .expr import Expression, Refused, parse
-from .quadrature import _validate_tolerance
+from .quadrature import _count, _validate_tolerance
 
 __all__ = [
     "ALL_FAMILIES",
@@ -226,6 +226,7 @@ def sweep_results(
     abort the sweep, while any other error does; a tolerance or margin_tol
     that every case would refuse is refused before any case is drawn.
     """
+    n_cases, seed = _count(n_cases, "n_cases"), _count(seed, "seed")
     if n_cases < 1:
         raise Refused(f"n_cases must be at least 1, got {n_cases}")
     if seed < 0:

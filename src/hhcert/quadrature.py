@@ -32,7 +32,7 @@ Four guards keep the refinement honest and bounded:
 * a panel whose K15 sum or error estimate is not finite (the integral
   overflows; no split could accept it) raises ``Refused``, not a warning,
   and so does a non-finite value at any node evaluated, a dropped half's
-  included;
+  included, and ``mean_integral`` names f's bad node and its x;
 * a panel whose raw estimate is already below ~50 eps times the panel's
   absolute integral is roundoff-limited and is not split further
   (bisection cannot beat double precision);
@@ -58,7 +58,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .expr import Expression, Refused
+from .expr import Expression, Refused, _positive_values
 
 __all__ = ["EVALUATION_BUDGET", "QuadratureResult", "IntegrandError", "integrate", "mean_integral"]
 
@@ -183,7 +183,7 @@ def _validate_tolerance(tol) -> np.ndarray:
     tols = np.array(tol, dtype=float, ndmin=1)
     if tols.size == 0:
         raise Refused(f"need at least one tolerance, got {tol!r}")
-    if tols.ndim > 1 or not (tols.min() > 0.0 and np.isfinite(tols).all()):
+    if tols.ndim > 1 or not all(0.0 < t < math.inf for t in tols.tolist()):
         raise Refused(f"tolerance must be positive and finite, got {tol!r}")
     return tols
 
@@ -335,12 +335,8 @@ def integrate(
 
 
 def _integrate_expression(f: Expression, a: float, b: float, tol: float) -> QuadratureResult:
-    """``integrate`` of f; a non-finite value raises the domain error behind it."""
-    try:
-        return integrate(f.eval_array, a, b, tol)
-    except IntegrandError as exc:
-        f(exc.x)  # the scalar path raises the precise domain error
-        raise  # pragma: no cover - scalar evaluation succeeded unexpectedly
+    """``integrate`` of f; a non-finite value raises the error behind it, named at its abscissa."""
+    return integrate(lambda xs: _positive_values(f, xs, positive=False), a, b, tol)
 
 
 def mean_integral(f: Expression, a: float, b: float, tol: float = DEFAULT_TOL) -> float:

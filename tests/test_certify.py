@@ -19,10 +19,9 @@ from hhcert.certify import (
     _check_denominators,
     _defect_chunks,
     _min_over_grid,
-    _positive_values,
     _spacing,
 )
-from hhcert.expr import DomainError, EvaluationError, Expression, Refused, parse
+from hhcert.expr import DomainError, EvaluationError, Expression, Refused, _positive_values, parse
 
 EXP_X2 = parse("exp(x^2)")
 EXP_MINUS_X2 = parse("exp(-x^2)")  # log-concave: the bracket settles not_log_convex

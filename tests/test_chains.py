@@ -74,6 +74,34 @@ def test_classical_and_dm_share_the_bits_of_f():
         assert np.float64(classical[name]).view(np.uint64) == np.float64(dm[name]).view(np.uint64)
 
 
+@pytest.mark.parametrize("text", ["1 + 1/(1/x)", "1/(x - 0.5)^2", "2 + ln(x)", "2 + sqrt(x - 1)"])
+def test_classical_and_dm_accept_and_refuse_the_same_f_at_the_ends_and_the_middle(text):
+    # both read f(0), f(1) and f(0.5) by one array walk, so both refuse the
+    # same point by the same named error, or neither refuses any
+    f = parse(text)
+    outcomes = []
+    for check in (classical_hh_terms, dragomir_mond_chain):
+        try:
+            check(f, 0.0, 1.0)
+            outcomes.append(None)
+        except Refused as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0] is not None:
+        assert " at x=" in outcomes[0][1]
+
+
+def test_classical_accepts_a_node_out_of_domain_whose_value_stays_finite():
+    # 1/x is inf at 0, and 1 + 1/inf = 1 is finite: f(0) once walked the
+    # checked rules and classical refused it with "division by zero", while
+    # dm read the array walk and accepted it; both now read the array walk
+    f = parse("1 + 1/(1/x)")
+    rep = classical_hh_terms(f, 0.0, 1.0)
+    assert rep.holds and rep.min_margin == 0.0
+    assert dict(rep.terms)["endpoint_average"] == 1.5
+    dragomir_mond_chain(f, 0.0, 1.0)
+
+
 def test_classical_allows_sign_changing_functions():
     # plain convexity does not need positivity
     rep = classical_hh_terms(parse("x^2 - 1"), -2.0, 2.0)

@@ -17,8 +17,8 @@ from hhcert import chains, harness
 from hhcert.certify import NotPositiveError
 from hhcert.chains import NotLogConvexError
 from hhcert.cli import _fmt, main
-from hhcert.expr import ParseError, Refused
-from hhcert.quadrature import IntegrandError
+from hhcert.expr import DomainError, ParseError, Refused, parse
+from hhcert.quadrature import IntegrandError, mean_integral
 from hhcert.report import dumps_canonical
 
 
@@ -57,6 +57,61 @@ def test_domain_error_exits_two(capsys):
     code, _, err = run(capsys, "integrate", "--f", "ln(x)", "--a", "-1", "--b", "1")
     assert code == 2
     assert err.startswith("error:")
+
+
+_POLE = "division by zero at x=0.5"
+_LN_NODE = "ln of non-positive value -0.4957276855604063 at x=0.004272314439593694"
+_LN_END = "ln of non-positive value -0.5 at x=0.0"
+
+
+@pytest.mark.parametrize(
+    "text, route, message",
+    [
+        ("1/(x-0.5)", "integrate", _POLE),
+        ("1/(x-0.5)", "mean_integral", _POLE),
+        ("1/(x-0.5)", "dm", _POLE),
+        ("1/(x-0.5)", "classical", _POLE),
+        ("ln(x-0.5)", "integrate", _LN_NODE),
+        ("ln(x-0.5)", "mean_integral", _LN_NODE),
+        ("ln(x-0.5)", "dm", _LN_END),
+        ("ln(x-0.5)", "classical", _LN_END),
+    ],
+)
+def test_a_failure_over_a_point_set_names_its_node_and_its_abscissa(capsys, text, route, message):
+    # the integral's error once replaced the abscissa it carried with the
+    # scalar walk's message, so each of these printed no x
+    if route == "mean_integral":
+        with pytest.raises(DomainError) as err:
+            mean_integral(parse(text), 0.0, 1.0)
+        assert str(err.value) == message
+        return
+    argv = ["integrate"] if route == "integrate" else ["chain", "--which", route]
+    code, out, err = run(capsys, *argv, "--f", text, "--a", "0", "--b", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--which", "dm"],
+        ["chain", "--which", "t1", "--c", "0.5"],
+        ["theorem2", "--c", "0.5", "--form", "both"],
+        ["maxc"],
+        ["chain", "--which", "classical"],
+        ["integrate"],
+        ["certify"],  # the bracket settles exp(x^2), so no grid is walked
+    ],
+    ids=["dm", "t1", "theorem2", "maxc", "classical", "integrate", "certify"],
+)
+def test_good_inputs_never_reach_the_checked_walk(capsys, monkeypatch, argv):
+    # every check evaluates f by the array walk, and walks a point with the
+    # checks on only to name a failure
+    def unreachable(f, x):
+        raise AssertionError(f"f was walked with the checks on at x={x!r}")
+
+    monkeypatch.setattr("hhcert.expr.evaluate", unreachable)
+    code, out, err = run(capsys, *argv, "--f", "exp(x^2)", "--a", "0", "--b", "1")
+    assert (code, err) == (0, "") and out
 
 
 def test_trig_of_an_overflowed_argument_exits_two_with_a_named_error(capsys):

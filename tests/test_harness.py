@@ -398,6 +398,26 @@ def test_a_sweep_refuses_a_negative_seed_by_name_before_drawing_a_case(monkeypat
         sweep(3, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((2.5,), {}, "n_cases must be an integer, got 2.5"),
+        (("3",), {}, "n_cases must be an integer, got '3'"),
+        ((2,), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ],
+    ids=["n_cases_float", "n_cases_str", "seed_float"],
+)
+def test_a_sweep_refuses_a_count_that_is_not_an_integer_by_name(monkeypatch, args, kwargs, message):
+    # each once raised a bare TypeError, which the CLI treats as an internal error
+    def draw(*args, **kwargs):
+        raise AssertionError("a case was drawn")
+
+    monkeypatch.setattr(harness, "generate_case", draw)
+    with pytest.raises(Refused) as err:
+        sweep(*args, **kwargs)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1e-9])
 @pytest.mark.parametrize("name", ["tol", "margin_tol"])
 def test_run_case_refuses_its_own_tolerances(name, bad):
