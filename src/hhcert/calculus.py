@@ -351,6 +351,9 @@ def enclose(
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Enclosures of each root's value over the boxes [lo[i], hi[i]], as (lower, upper) arrays.
 
+    The pairs are read-only views of one (roots, 2, boxes) block, so a
+    literal root's ends are broadcast to every box.
+
     Every operation rounds to nearest and then widens outward by one step of
     ``np.nextafter``, so the enclosure holds if each libm result (exp, ln,
     sqrt, power, sin, cos, sinh, cosh) lies within one ulp step of the true
@@ -370,9 +373,10 @@ def enclose(
 
     with np.errstate(all="ignore"):
         enclosures = _fold_dag(roots, leaf, lambda n, args: _RULES[n.kind][1](*args), {})
-    out = []
-    for low, high in enclosures:
-        low, high = np.broadcast_to(low, lo.shape), np.broadcast_to(high, lo.shape)
-        unknown = np.isnan(low) | np.isnan(high)
-        out.append((np.where(unknown, -math.inf, low), np.where(unknown, math.inf, high)))
-    return out
+    block = np.empty((len(enclosures), 2) + lo.shape)
+    for ends, (low, high) in zip(block, enclosures):
+        ends[0], ends[1] = low, high  # a literal root's ends broadcast
+    unknown = np.isnan(block).any(axis=1, keepdims=True)
+    block = np.where(unknown, np.array([[-math.inf], [math.inf]]), block)
+    block.flags.writeable = False
+    return [(low, high) for low, high in block]

@@ -12,11 +12,14 @@ in [-2, 2] and b - a >= 0.1; every generated f is positive by construction):
 
 Each sweep case gets its own substream spawned from one seed, so reports
 are bit-identical across reruns and independent of execution order.  A
-sweep brackets each case's modulus once with ``modulus_bracket`` and draws
-c = c_lo * u with u in (0, 1] where the bracket proves c_lo > 0, which is
-conservative by proof; every other case gets no c.  It passes c and the
-bracket to ``run_case``, which parses the expression once and calls the
-public chain checks, which share the one quadrature pass ``chains`` keeps.
+sweep makes three passes: it draws every case, brackets each case's
+modulus once with ``modulus_bracket``, then runs ``run_case`` on each; as
+no state crosses cases, the results equal the cases run one at a time.  It
+takes c = c_lo * u with u in (0, 1] where the bracket proves c_lo > 0,
+which is conservative by proof; every other case gets no c.  It passes c
+and the bracket to ``run_case``, which parses the expression once and calls
+the public chain checks, which share the one quadrature pass ``chains``
+keeps.
 The Dragomir-Mond chain runs for every case (it only needs positivity);
 the strengthened chain and the product bound run when c is given and it
 was not refused.  A check that refuses its case (``Refused``, on which the
@@ -222,6 +225,10 @@ def sweep_results(
 
     Case i draws from substream i of SeedSequence(seed) and stores i in
     CaseSpec.seed, so any case can be reproduced from (seed, index) alone.
+    One pass draws every case (its family, u and ``generate_case``), the
+    next runs ``modulus_bracket`` on each and the last ``run_case``; each
+    case has its own substream and no state crosses cases, so the results
+    equal the cases run one at a time.
     A case's refusals are recorded as not_applicable outcomes and never
     abort the sweep, while any other error does; a tolerance or margin_tol
     that every case would refuse is refused before any case is drawn.
@@ -240,18 +247,22 @@ def sweep_results(
     _validate_tolerance(tol)
     chains._validate_margin_tol(margin_tol)
 
-    results = []
+    drawn = []  # (case, u) per case
     for index in range(n_cases):
         # child i of SeedSequence(seed).spawn, built on its own so that the
         # sweep never holds the streams of every case at once
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
         family = families[int(rng.integers(len(families)))] if len(families) > 1 else families[0]
         u = 1.0 - float(rng.random())  # in (0, 1]
-        case = generate_case(family, rng, seed=index)
+        drawn.append((generate_case(family, rng, seed=index), u))
+    brackets = []
+    for case, _ in drawn:
         try:
-            bracket = modulus_bracket(case.expression(), case.a, case.b)
+            brackets.append(modulus_bracket(case.expression(), case.a, case.b))
         except Refused:
-            bracket = None
+            brackets.append(None)
+    results = []
+    for (case, u), bracket in zip(drawn, brackets):
         proved = bracket is not None and bracket.status is CertStatus.CERTIFIED_POSITIVE
         c = bracket.c_lo * u if proved else None
         results.append(run_case(case, c, tol, margin_tol, bracket))

@@ -200,17 +200,19 @@ def _panels(g: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
     vals = np.asarray(g(nodes), dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[-1] != nodes.size:
         raise ValueError("integrand must return one value per abscissa")
-    finite = np.isfinite(vals)
-    if not finite.all():
-        x = float(nodes[int(np.argmin(finite.reshape(-1, nodes.size).all(axis=0)))])
-        raise IntegrandError(f"integrand is not finite at x={x!r}", x=x)
     terms = vals.reshape(vals.shape[:-1] + (lo.size, 1, 15)) * _WEIGHTS
     sums = np.add.reduce(terms, axis=-1) * halfw[:, None]
     k15, g7 = sums[..., 0], sums[..., 1]
     raw = np.abs(k15 - g7)
     resabs = np.add.reduce(np.abs(terms[..., 0, :]), axis=-1) * halfw
-    # |K15 - G7| is not finite where K15 is not; only a failure locates the panel
+    # |K15 - G7| is not finite where K15 is not, and every K15 weight is
+    # positive, so a non-finite value always lands here; only a failure
+    # looks for the first one, then for the panel that overflowed
     if not math.isfinite(np.add.reduce(raw, axis=None)):
+        finite = np.isfinite(vals).reshape(-1, nodes.size).all(axis=0)
+        if not finite.all():
+            x = float(nodes[int(np.argmin(finite))])
+            raise IntegrandError(f"integrand is not finite at x={x!r}", x=x)
         finite = np.isfinite(raw).reshape(-1, lo.size).all(axis=0)
         i = int(np.argmin(finite))
         if not finite[i]:  # else finite estimates overflowed only in their sum

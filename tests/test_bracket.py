@@ -346,6 +346,74 @@ def test_a_node_that_is_not_smooth_on_its_box_encloses_as_the_whole_line(text, l
     assert (enc_lo[0], enc_hi[0]) == (-math.inf, math.inf)
 
 
+def _enclose_root_by_root(roots, lo, hi):
+    # the reference: enclose's fold, each root then broadcast and its NaN
+    # boxes sent to the whole line one root at a time
+    def leaf(node):
+        if type(node) is Var:
+            return lo, hi
+        value = node.value if type(node) is Num else calculus._CONSTANTS[node.name]
+        return value, value
+
+    rule = lambda n, args: calculus._RULES[n.kind][1](*args)
+    with np.errstate(all="ignore"):
+        enclosures = calculus._fold_dag(roots, leaf, rule, {})
+    out = []
+    for low, high in enclosures:
+        low, high = np.broadcast_to(low, lo.shape), np.broadcast_to(high, lo.shape)
+        unknown = np.isnan(low) | np.isnan(high)
+        out.append((np.where(unknown, -math.inf, low), np.where(unknown, math.inf, high)))
+    return out
+
+
+def _assert_encloses_as_root_by_root(roots, a, b):
+    # the bracket's 33 boxes: 16 equal pieces of [a, b], then their 17 edges
+    edges = np.linspace(a, b, 17)
+    lo, hi = np.concatenate((edges[:-1], edges)), np.concatenate((edges[1:], edges))
+    got = calculus.enclose(roots, lo, hi)
+    expected = _enclose_root_by_root(roots, lo, hi)
+    assert len(got) == len(expected) == len(roots)
+    for ends, reference in zip(got, expected):
+        for end, want in zip(ends, reference):
+            assert end.dtype == np.float64 and end.shape == (33,) and not end.flags.writeable
+            assert end.tobytes() == want.tobytes()
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees, st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=1e-3, max_value=2.0))
+def test_enclose_finishes_every_root_as_it_did_one_root_at_a_time(root, a, width):
+    _assert_encloses_as_root_by_root((root, calculus.derivative(root, {})), a, a + width)
+
+
+def test_a_literal_root_encloses_as_its_value_on_every_box():
+    f = parse("exp(2*x)")
+    g1, g2 = calculus.log_derivatives(f)
+    assert type(g2) is Num and g2.value == 0.0
+    (_, _, (k_lo, k_hi)) = _assert_encloses_as_root_by_root((f.root, g1, g2), 0.0, 1.0)
+    assert not k_lo.any() and not k_hi.any()
+
+
+def test_a_root_can_be_the_whole_line_on_some_boxes_only():
+    # exp(800*x) overflows past x = 0.8873, so 0 * inf is NaN on the last two
+    # pieces and the last two edges, and a finite box about 0 elsewhere
+    ((low, high),) = _assert_encloses_as_root_by_root((parse("0*exp(800*x)").root,), 0.0, 1.0)
+    whole = (low == -math.inf) & (high == math.inf)
+    assert np.flatnonzero(whole).tolist() == [14, 15, 31, 32]
+    assert (-1e-300 < low[~whole]).all() and (low[~whole] <= 0.0).all()
+    assert (0.0 <= high[~whole]).all() and (high[~whole] < 1e-300).all()
+
+
+@pytest.mark.parametrize("end", [math.inf, -math.inf])
+def test_a_root_nan_at_one_end_only_is_the_whole_line_there(end):
+    # on the boxes that touch 0, ln(x) is [-inf, inf], so inf + ln(x) is nan
+    # at its lower end alone, and -inf + ln(x) at its upper end alone
+    root = Apply("+", (Num(end), parse("ln(x)").root))
+    ((low, high),) = _assert_encloses_as_root_by_root((root,), 0.0, 1.0)
+    whole = (low == -math.inf) & (high == math.inf)
+    assert np.flatnonzero(whole).tolist() == [0, 16]
+
+
 # --------------------------------------------------------------------------
 # the modulus bracket
 # --------------------------------------------------------------------------

@@ -439,6 +439,51 @@ def test_a_sweep_case_depends_on_its_seed_and_index_alone(seed):
     assert harness.sweep_results(10, seed=seed)[:4] == harness.sweep_results(4, seed=seed)
 
 
+def _replay(seed: int, index: int) -> harness.CaseResult:
+    # one case alone, drawn, bracketed and checked before the next is drawn
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    family = ALL_FAMILIES[int(rng.integers(len(ALL_FAMILIES)))]
+    u = 1.0 - float(rng.random())
+    case = generate_case(family, rng, seed=index)
+    try:
+        bracket = harness.modulus_bracket(case.expression(), case.a, case.b)
+    except Refused:
+        bracket = None
+    proved = bracket is not None and bracket.status is CertStatus.CERTIFIED_POSITIVE
+    return run_case(case, bracket.c_lo * u if proved else None, bracket=bracket)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 20260809])
+def test_a_sweep_equals_its_cases_run_one_at_a_time(seed):
+    # the sweep draws every case, then brackets every case, then checks
+    # every case; no state crosses cases, so the passes change no bit
+    results = harness.sweep_results(60, seed=seed)
+    replayed = tuple(_replay(seed, index) for index in range(60))
+    assert results == replayed
+    assert repr(results) == repr(replayed)  # repr tells -0.0 from 0.0
+
+
+def test_an_error_in_a_bracket_leaves_the_sweep_untallied(monkeypatch):
+    # only a refusal is a case's outcome; any other error is a defect
+    brackets = []
+
+    def bracket(f, a, b):
+        brackets.append(f)
+        if len(brackets) == 8:
+            raise RuntimeError("defect in case 7")
+        return ModulusBracket(c_lo=-math.inf, c_up=math.inf, status=None)
+
+    tallied = []
+    aggregate = harness.aggregate_results
+    monkeypatch.setattr(harness, "modulus_bracket", bracket)
+    monkeypatch.setattr(
+        harness, "aggregate_results", lambda *args: tallied.append(args) or aggregate(*args)
+    )
+    with pytest.raises(RuntimeError, match="^defect in case 7$"):
+        sweep(20, ALL_FAMILIES, seed=5)
+    assert len(brackets) == 8 and not tallied
+
+
 def test_the_500_case_sweep_is_pinned():
     # every tally, every violation's kind and witness pair, and the case
     # indices of both lists, at the seed the CLI's byte-identity rows use

@@ -166,6 +166,34 @@ def test_integrand_domain_error_carries_abscissa():
     assert -1.0 <= err.value.x <= 1.0
 
 
+def test_a_nan_at_a_kronrod_only_node_of_one_row_is_named_by_its_abscissa():
+    # node 2 of the root panel has G7 weight 0, yet its K15 weight is
+    # positive, so the nan still makes the panel's estimate non-finite
+    x = 0.06756778832011545
+    assert x == 0.5 + 0.5 * quadrature._NODES[2] and quadrature._WEIGHTS[1, 2] == 0.0
+    g = lambda xs: np.array((np.exp(xs), xs, np.where(xs == x, np.nan, np.cos(xs)), xs * xs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrandError) as err:
+            integrate(g, 0.0, 1.0)
+    assert err.value.x == x
+    assert str(err.value) == "integrand is not finite at x=0.06756778832011545"
+
+
+def test_an_inf_at_a_gauss_node_of_a_refined_panel_is_named_by_its_abscissa():
+    # the root misses its share, so the first round evaluates [0.5, 1], whose
+    # Gauss node 5 returns inf
+    x = 0.6485387121556507
+    assert x == 0.75 + 0.25 * quadrature._NODES[5] and quadrature._WEIGHTS[1, 5] > 0.0
+    g = lambda xs: np.array([np.where(xs == x, np.inf, (xs + 0.001) ** -1.5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrandError) as err:
+            integrate(g, 0.0, 1.0)
+    assert err.value.x == x
+    assert str(err.value) == "integrand is not finite at x=0.6485387121556507"
+
+
 @pytest.mark.parametrize("rows", [1, 2])
 def test_an_overflowing_integral_names_its_first_panel(rows):
     # every panel's K15 sum overflows, so its error is inf - inf = nan and no
